@@ -17,14 +17,9 @@ from typing import IO
 
 import numpy as np
 
-from .filtering import log_normalizer
+from .filtering import log_normalizer, logsumexp
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
-from .strategy import (
-    QuadratureConfig,
-    QuadratureNotConverged,
-    optimal_fraction,
-    stable_integrand_weights,
-)
+from .strategy import QuadratureConfig, evaluate_points, stable_integrand_weights
 
 
 class HypothesisViolated(ValueError):
@@ -108,9 +103,7 @@ def jensen_lower_bound_fd(
         + (gam - gam[-1]) * beta * y
         - 0.5 * dg2 * t * beta * beta
     )
-    log_terms = np.log(model.prior) + rel
-    shift = log_terms.max()
-    log_den_rel = shift + math.log(float(np.exp(log_terms - shift).sum()))
+    log_den_rel = float(logsumexp(np.log(model.prior) + rel))
     return math.exp(beta * math.log(float(model.prior[-1])) - log_den_rel)
 
 
@@ -208,27 +201,25 @@ def horizon_sweep(
 ) -> SweepResult:
     """u*(t, T, y) across a horizon grid with gaps to the predicted limit.
 
-    Rows whose quadrature fails are flagged and carried as NaN; the sweep
-    continues with the remaining horizons.
+    All horizons go through one batched evaluation that converges each row
+    at its own node level, with the same doubling scheme as
+    :func:`~bayesmerton.strategy.optimal_fraction`.  Rows whose quadrature
+    fails to converge are flagged and carried as NaN; the other rows are
+    unaffected.
     """
     horizons_arr = np.asarray(horizons, dtype=float).reshape(-1)
     if horizons_arr.size == 0:
         raise ValueError("horizons must be non-empty")
-    if np.any(horizons_arr <= 0.0) or np.any(np.diff(horizons_arr) <= 0.0):
-        raise ValueError("horizons must be positive and strictly increasing")
-    if t > horizons_arr[0]:
-        raise ValueError(f"t={t} exceeds the smallest horizon {horizons_arr[0]}")
+    if (
+        not np.all(np.isfinite(horizons_arr))
+        or np.any(horizons_arr <= 0.0)
+        or np.any(np.diff(horizons_arr) <= 0.0)
+    ):
+        raise ValueError("horizons must be finite, positive and strictly increasing")
+    StrategyQuery(t=t, T=float(horizons_arr[0]), y=y)  # needs finite t, y and 0 <= t <= T
     limit = limit_fraction(model, alpha)
 
-    u_values = np.full(horizons_arr.size, np.nan)
-    failed = np.zeros(horizons_arr.size, dtype=bool)
-    for i, T in enumerate(horizons_arr):
-        try:
-            u_values[i] = optimal_fraction(
-                model, alpha, StrategyQuery(t=t, T=float(T), y=y), quad
-            ).u_star
-        except QuadratureNotConverged:
-            failed[i] = True
+    u_values, _, failed = evaluate_points(model, alpha, t, horizons_arr, y, quad)
     gaps = np.abs(u_values - limit)
     with np.errstate(invalid="ignore"):
         within = (gaps / abs(limit) < gap_tol) & ~failed if limit != 0.0 else gaps < gap_tol

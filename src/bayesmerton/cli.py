@@ -53,7 +53,7 @@ from .model import (
     UnorderedDrifts,
     new_market,
 )
-from .simkit import export_report_json, optimality_check
+from .simkit import CacheProbeFailed, export_report_json, optimality_check
 from .strategy import (
     DegenerateHorizon,
     QuadratureConfig,
@@ -71,7 +71,7 @@ _CONFIG_ERRORS = (
     InvalidLambda,
     HypothesisViolated,
 )
-_NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, DegenerateHorizon)
+_NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, DegenerateHorizon, CacheProbeFailed)
 
 
 class ConfigError(ValueError):

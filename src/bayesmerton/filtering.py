@@ -61,43 +61,45 @@ class FilterPath:
     seed: int
 
 
-def _log_likelihoods(model: MarketModel, t: float, y) -> np.ndarray:
-    """Exponents gamma_k * y - gamma_k^2 t / 2, broadcast over y; zeros at t = 0."""
-    y_arr = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return np.zeros(y_arr.shape + (model.d,))
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted log-sum-exp along one axis."""
+    shift = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(shift, axis=axis) + np.log(np.sum(np.exp(a - shift), axis=axis))
+
+
+def _log_joint(model: MarketModel, t, y) -> np.ndarray:
+    """log p_k + gamma_k y - gamma_k^2 t / 2 over broadcast t and y; shape (..., d)."""
     gam = model.gammas
-    return y_arr[..., None] * gam - 0.5 * gam * gam * t
-
-
-def log_likelihood(model: MarketModel, k: int, t: float, y: float) -> float:
-    """Log of L_t(mu_k, y); exactly 0 at t = 0."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    gam = model.gammas[k]
-    return gam * y - 0.5 * gam * gam * t
-
-
-def likelihood(model: MarketModel, k: int, t: float, y: float) -> float:
-    """Likelihood weight L_t(mu_k, y) of drift state k."""
-    return float(np.exp(log_likelihood(model, k, t, y)))
+    t_col = np.asarray(t, dtype=float)[..., None]
+    y_col = np.asarray(y, dtype=float)[..., None]
+    return np.log(model.prior) + gam * (y_col - 0.5 * gam * t_col)
 
 
 def log_normalizer(model: MarketModel, t: float, y) -> np.ndarray | float:
     """log F(t, y) = logsumexp_k(log p_k + log L_t(mu_k, y)), max-shifted."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    terms = np.log(model.prior) + _log_likelihoods(model, t, y)
-    shift = terms.max(axis=-1, keepdims=True)
-    out = shift[..., 0] + np.log(np.exp(terms - shift).sum(axis=-1))
+    if t == 0.0:  # L_0 = 1 for any y
+        y = np.zeros_like(y, dtype=float)
+    out = logsumexp(_log_joint(model, t, y))
     return float(out) if out.ndim == 0 else out
 
 
-def normalizer(model: MarketModel, t: float, y: float) -> float:
-    """Prior likelihood mixture F(t, y) = sum_k p_k L_t(mu_k, y)."""
-    return float(np.exp(log_normalizer(model, t, y)))
+def posterior_weights(model: MarketModel, t, y) -> np.ndarray:
+    """Posterior probabilities p_k L_t(mu_k, y) / F(t, y); shape (..., d).
+
+    Vectorized over broadcast arrays of times t >= 0 and observations y.
+
+    The closed form is continuous in t at fixed y: at t = 0 it gives weights
+    proportional to p_k exp(gamma_k y), which is the prior at y = 0, the only
+    value Y_0 takes.  :func:`posterior` instead pins t = 0 to the prior for
+    every y.
+    """
+    w = _log_joint(model, t, y)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def posterior(model: MarketModel, t: float, y: float) -> Posterior:
@@ -106,11 +108,7 @@ def posterior(model: MarketModel, t: float, y: float) -> Posterior:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return Posterior(t=0.0, probs=model.prior)
-    terms = np.log(model.prior) + _log_likelihoods(model, t, float(y))
-    terms -= terms.max()
-    probs = np.exp(terms)
-    probs /= probs.sum()
-    return Posterior(t=t, probs=probs)
+    return Posterior(t=t, probs=posterior_weights(model, t, float(y)))
 
 
 def posterior_mean(model: MarketModel, t: float, y: float) -> float:

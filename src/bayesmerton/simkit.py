@@ -26,12 +26,13 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .model import MarketModel, StrategyQuery, UtilitySpec
+from .filtering import posterior_weights
+from .model import MarketModel, UtilitySpec
 from .strategy import (
     QuadratureConfig,
-    _fk_grid_once,
+    QuadratureNotConverged,
+    evaluate_points,
     log_utility_fraction,
-    optimal_fraction,
 )
 
 #: Paths evolved per vectorized block; has no effect on results.
@@ -42,6 +43,10 @@ BLOCK_SIZE = 16384
 PROBE_TOL = 1e-4
 
 StrategyFn = Callable[[float, np.ndarray], np.ndarray]
+
+
+class CacheProbeFailed(RuntimeError):
+    """Cached-strategy interpolation missed direct evaluation by PROBE_TOL or more."""
 
 
 @dataclass(frozen=True)
@@ -177,52 +182,46 @@ def build_feedback_strategy(
     """Tabulate the optimal feedback fraction for fast path simulation.
 
     alpha = 0 tabulates the horizon-free logarithmic fraction; anything else
-    runs the quadrature row by row at the configured node count (a single
-    level; the probe check below is what enforces accuracy here).
-    Interpolation is then measured against direct doubling-verified
+    evaluates the whole table at the configured node count in one batched
+    call (a single level; the probe check below is what enforces accuracy
+    here).  Interpolation is then measured against direct doubling-verified
     evaluation at ``probe_points`` random (t, y) points and must come in
     under PROBE_TOL.
+
+    Raises
+    ------
+    CacheProbeFailed
+        If the worst probe error reaches PROBE_TOL.
     """
     UtilitySpec(alpha)
     if y_span is None:
         y_span = default_y_span(model, T)
     y_grid = np.linspace(-y_span, y_span, y_points)
     s_grid = np.linspace(0.0, math.sqrt(T), s_points)
-    table = np.empty((s_points, y_points))
-    one_minus = 1.0 - alpha
-    for i, s in enumerate(s_grid):
-        t = T - s * s
-        if alpha == 0.0 or model.d == 1 or s == 0.0:
-            # continuum form of the posterior weights, also at t = 0: paths
-            # only query (t=0, y=0) where it agrees with the defined value,
-            # and interpolation towards t > 0 must stay continuous
-            lik = np.log(model.prior) + model.gammas * y_grid[:, None] - (
-                0.5 * model.gammas**2 * t if t > 0.0 else 0.0
-            )
-            lik -= lik.max(axis=-1, keepdims=True)
-            probs = np.exp(lik)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            myopic_scale = 1.0 if alpha == 0.0 else one_minus
-            table[i] = (probs @ model.mus - model.r) / (model.sigma**2 * myopic_scale)
-        else:
-            f = _fk_grid_once(model, alpha, t, T, y_grid, quad.nodes, quad.half_width)
-            table[i] = f @ model.gammas / (model.sigma * one_minus)
+    t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
+    if alpha == 0.0:
+        # continuum form of the posterior weights, also at t = 0: paths
+        # only query (t=0, y=0) where it agrees with the defined value,
+        # and interpolation towards t > 0 must stay continuous
+        probs = posterior_weights(model, t_rows, y_grid)
+        table = (probs @ model.mus - model.r) / model.sigma**2
+    else:
+        table, _, _ = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)
     strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table)
 
     rng = np.random.default_rng(probe_seed)
-    worst = 0.0
-    for _ in range(probe_points):
-        t = float(rng.uniform(0.0, T))
-        y = float(rng.uniform(-y_span, y_span))
-        direct = (
-            log_utility_fraction(model, t, y)
-            if alpha == 0.0
-            else optimal_fraction(model, alpha, StrategyQuery(t, T, y), quad).u_star
-        )
-        worst = max(worst, abs(float(strat(t, np.array([y]))[0]) - direct))
+    probes = rng.uniform([0.0, -y_span], [T, y_span], size=(probe_points, 2))
+    if alpha == 0.0:
+        direct = np.array([log_utility_fraction(model, t, y) for t, y in probes])
+    else:
+        direct, _, failed = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
+        if failed.any():
+            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
+    cached = np.array([strat(t, np.array([y]))[0] for t, y in probes])
+    worst = float(np.max(np.abs(cached - direct), initial=0.0))
     strat.probe_error = worst
-    if worst >= PROBE_TOL:
-        raise RuntimeError(
+    if not worst < PROBE_TOL:
+        raise CacheProbeFailed(
             f"strategy cache interpolation error {worst:.3e} exceeds {PROBE_TOL}"
         )
     return strat

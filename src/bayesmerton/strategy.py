@@ -24,6 +24,15 @@ panels of configurable half-width around those means, clipped at midpoints
 between neighbours, with Gauss-Legendre nodes per panel and log-sum-exp
 accumulation throughout, so no intermediate quantity leaves double range
 even for horizons of 10^4 and |gamma| of 10.
+
+The posterior state weights at the shifted observation y + z sqrt(T-t),
+which the numerator needs, are the responsibilities q_k phi_k(z) / sum_j
+q_j phi_j(z) of that same mixture, so the kernel gets them from the
+log-sum-exp it already forms.  One evaluator, :func:`evaluate_points`,
+serves every caller: it takes broadcast arrays of (t, T, y) points, sends
+t = T and d = 1 to the closed form, and doubles the node count with a mask
+per point, so each point stops at its own first level that agrees with the
+previous one.
 """
 
 from __future__ import annotations
@@ -32,17 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import posterior, posterior_mean
+from .filtering import logsumexp, posterior, posterior_mean, posterior_weights
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: Node-doubling ceiling per panel; reaching it without two successive
-#: evaluations agreeing raises QuadratureNotConverged.
+#: Node-doubling ceiling per panel; a point reaching it without two
+#: successive evaluations agreeing is flagged as not converged.
 NODE_CAP = 1024
 
-#: Chunk size (y-points x nodes x states) for vectorized grid evaluation.
-_GRID_CHUNK_ENTRIES = 2_000_000
+#: Working-set bound of the quadrature kernel in (point x node x state)
+#: entries; larger chunks raise peak memory without running faster.
+_CHUNK_ENTRIES = 16_384
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -112,19 +120,26 @@ class McFraction:
     n_samples: int
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log-sum-exp along one axis."""
-    shift = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(shift, axis=axis) + np.log(
-        np.sum(np.exp(a - shift), axis=axis)
-    )
-
-
 def _power_check(alpha: float) -> UtilitySpec:
     util = UtilitySpec(alpha)
     if util.is_log:
         raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
     return util
+
+
+def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each."""
+    one_minus = 1.0 - alpha
+    gam = model.gammas
+    t_col = np.asarray(t, dtype=float)[..., None]
+    T_col = np.asarray(T, dtype=float)[..., None]
+    log_q = (
+        np.log(model.prior)
+        + 0.5 * gam * gam * (T_col * alpha - t_col) / one_minus
+        + gam * np.asarray(y, dtype=float)[..., None]
+    )
+    means = gam * np.sqrt(T_col - t_col) / one_minus
+    return log_q - logsumexp(log_q)[..., None], means
 
 
 def stable_integrand_weights(
@@ -145,15 +160,10 @@ def stable_integrand_weights(
         raise DegenerateHorizon("t = T: use the posterior-mean Merton closed form")
     if not 0.0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
-    one_minus = 1.0 - alpha
-    gam = model.gammas
-    s = np.sqrt(T - t)
-    log_q = np.log(model.prior) + 0.5 * gam * gam * (T * alpha - t) / one_minus + gam * y
-    log_w = log_q - _lse(log_q, axis=-1)
-    means = gam * s / one_minus
+    log_w, means = _stabilized(model, alpha, t, T, y)
     for arr in (log_w, means):
         arr.setflags(write=False)
-    return StabilizedMixture(log_weights=log_w, means=means, variance=1.0 / one_minus)
+    return StabilizedMixture(log_weights=log_w, means=means, variance=1.0 / (1.0 - alpha))
 
 
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,107 +174,112 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _panel_nodes(
-    means: np.ndarray, half_width: float, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and log-weights on midpoint-clipped panels.
-
-    One window of the given half-width per mixture mean, clipped at the
-    midpoint towards each neighbour so panels never overlap; the omitted
-    inter-panel gaps only ever hold integrand mass below exp(-half_width^2/2)
-    of the peak.
-    """
-    x, w = _legendre_rule(n_nodes)
-    d = means.size
-    zs = []
-    lws = []
-    for k in range(d):
-        a = means[k] - half_width
-        b = means[k] + half_width
-        if k > 0:
-            a = max(a, 0.5 * (means[k - 1] + means[k]))
-        if k < d - 1:
-            b = min(b, 0.5 * (means[k] + means[k + 1]))
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        zs.append(half * x + 0.5 * (a + b))
-        lws.append(np.log(half * w))
-    return np.concatenate(zs), np.concatenate(lws)
-
-
-def _fk_at_nodes(
+def _fk_level(
     model: MarketModel,
     alpha: float,
-    t: float,
-    T: float,
-    y: np.ndarray,
-    z: np.ndarray,
-    log_w: np.ndarray,
-) -> np.ndarray:
-    """f_k for each y on the given nodes; shape (len(y), d).
-
-    All sums of positive terms (mixture, posterior weights, node totals) run
-    as log-sum-exp; f_k leaves the log domain only at the very end.
-    """
-    one_minus = 1.0 - alpha
-    gam = model.gammas
-    s = np.sqrt(T - t)
-    log_prior = np.log(model.prior)
-
-    log_q = log_prior + 0.5 * gam * gam * (T * alpha - t) / one_minus + gam * y[:, None]
-    log_phat = log_q - _lse(log_q, axis=-1)[:, None]  # (ny, d)
-
-    means = gam * s / one_minus
-    log_phi = 0.5 * (np.log(one_minus) - _LOG_2PI) - 0.5 * one_minus * (
-        z[:, None] - means
-    ) ** 2  # (K, d)
-
-    # log of the stabilized integrand: (mixture)^(1/(1-alpha))
-    log_int = _lse(log_phat[:, None, :] + log_phi[None, :, :], axis=-1) / one_minus
-
-    # posterior state weights g_k at the shifted observation y + z sqrt(T-t)
-    log_lik = (
-        log_prior
-        + gam * (y[:, None, None] + z[None, :, None] * s)
-        - 0.5 * gam * gam * T
-    )  # (ny, K, d)
-    log_g = log_lik - _lse(log_lik, axis=-1)[:, :, None]
-
-    node_terms = log_w[None, :] + log_int  # (ny, K)
-    log_den = _lse(node_terms, axis=-1)  # (ny,)
-    log_num = _lse(node_terms[:, :, None] + log_g, axis=1)  # (ny, d)
-    return np.exp(log_num - log_den[:, None])
-
-
-def _fk_grid_once(
-    model: MarketModel,
-    alpha: float,
-    t: float,
-    T: float,
+    t: np.ndarray,
+    T: np.ndarray,
     y: np.ndarray,
     n_nodes: int,
     half_width: float,
 ) -> np.ndarray:
-    """Single-level quadrature of f over a y-grid, chunked for memory."""
+    """Single-level quadrature of f at points with t < T (1-D arrays); shape (P, d).
+
+    Each point gets one Gauss-Legendre panel of ``n_nodes`` nodes per mixture
+    mean, of the given half-width and clipped at the midpoint towards each
+    neighbour, so panels never overlap; the omitted inter-panel gaps only
+    ever hold integrand mass below exp(-half_width^2/2) of the peak.  All
+    sums of positive terms run as log-sum-exp; f_k leaves the log domain only
+    at the very end.  Points are processed in chunks of at most
+    _CHUNK_ENTRIES (point x node x state) entries.
+    """
+    x, w = _legendre_rule(n_nodes)
     one_minus = 1.0 - alpha
-    means = model.gammas * np.sqrt(T - t) / one_minus
-    z, log_w = _panel_nodes(means, half_width, n_nodes)
-    chunk = max(1, _GRID_CHUNK_ENTRIES // (z.size * model.d))
-    out = np.empty((y.size, model.d))
-    for lo in range(0, y.size, chunk):
-        hi = min(lo + chunk, y.size)
-        out[lo:hi] = _fk_at_nodes(model, alpha, t, T, y[lo:hi], z, log_w)
+    chunk = max(1, _CHUNK_ENTRIES // (model.d * n_nodes * model.d))
+    out = np.empty((t.size, model.d))
+    for lo in range(0, t.size, chunk):
+        part = slice(lo, lo + chunk)
+        log_p, means = _stabilized(model, alpha, t[part], T[part], y[part])  # (P, d)
+        a = means - half_width
+        b = means + half_width
+        mid = 0.5 * (means[:, :-1] + means[:, 1:])
+        a[:, 1:] = np.maximum(a[:, 1:], mid)
+        b[:, :-1] = np.minimum(b[:, :-1], mid)
+        half = (0.5 * (b - a))[..., None]
+        z = (half * x + 0.5 * (a + b)[..., None]).reshape(means.shape[0], -1)  # (P, K)
+        log_w = np.log(half * w).reshape(z.shape)
+
+        # log of p_k phi_k(z) up to a term shared by all k and z, which cancels in f
+        joint = log_p[:, None, :] - 0.5 * one_minus * (z[..., None] - means[:, None, :]) ** 2
+        log_mix = logsumexp(joint)  # (P, K)
+        # stabilized integrand (mixture)^(1/(1-alpha)) times the node weight
+        node = log_w + log_mix / one_minus
+        # joint - log_mix are the responsibilities: the posterior state
+        # weights at the shifted observation y + z sqrt(T - t)
+        joint += (node - log_mix)[..., None]
+        out[part] = np.exp(logsumexp(joint, axis=1) - logsumexp(node)[:, None])
     return out
 
 
-def _maturity_value(model: MarketModel, alpha: float, t: float, y: float) -> StrategyValue:
-    """Closed form at t = T (and for d = 1): posterior-mean Merton ratio."""
-    one_minus = 1.0 - alpha
-    probs = posterior(model, t, y).probs
-    v = float(probs @ model.gammas)
-    u = v / (model.sigma * one_minus)
-    return StrategyValue(u_star=u, v_star=v, f=probs, myopic=u, hedging=0.0)
+def evaluate_points(
+    model: MarketModel,
+    alpha: float,
+    t,
+    T,
+    y,
+    quad: QuadratureConfig = QuadratureConfig(),
+    doubling: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u*, f and a failure flag at broadcast arrays of points (t, T, y).
+
+    Points with t = T, and all points when d = 1, take the posterior-mean
+    Merton closed form (degenerate Gaussians break node placement).  The
+    rest run the quadrature.  With ``doubling``, the per-panel node count
+    doubles from ``quad.nodes`` and each point stops at its own first level
+    whose u* agrees with the previous level's to ``quad.rel_tol``; the finer
+    value wins.  Points still moving at the node cap keep NaN and come back
+    flagged.  Without ``doubling``, every point gets the single level
+    ``quad.nodes`` and none is flagged.
+
+    Returns ``(u, f, failed)`` with shapes ``(...)``, ``(..., d)``, ``(...)``.
+    """
+    _power_check(alpha)
+    t, T, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, T, y)))
+    shape = t.shape
+    t, T, y = t.reshape(-1), T.reshape(-1), y.reshape(-1)
+    gam = model.gammas
+    scale = model.sigma * (1.0 - alpha)
+    f = np.full((t.size, model.d), np.nan)
+    failed = np.zeros(t.size, dtype=bool)
+
+    closed = (t == T) | (model.d == 1)
+    # L_0 = 1: at T = 0 the weights are the prior for any y
+    T_c = T[closed]
+    f[closed] = posterior_weights(model, T_c, np.where(T_c == 0.0, 0.0, y[closed]))
+
+    # roundoff floor: doubling cannot settle below summation noise
+    atol = 1e-13 * (np.abs(gam).max() / scale + 1.0)
+    cap = max(NODE_CAP, 2 * quad.nodes)
+    todo = np.flatnonzero(~closed)
+    n = quad.nodes
+    u_prev = None
+    while todo.size:
+        f_n = _fk_level(model, alpha, t[todo], T[todo], y[todo], n, quad.half_width)
+        u_n = f_n @ gam / scale
+        if u_prev is None:
+            done = np.full(todo.size, not doubling)
+        else:
+            done = np.abs(u_n - u_prev) <= quad.rel_tol * np.maximum(
+                np.abs(u_n), np.abs(u_prev)
+            ) + atol
+        f[todo[done]] = f_n[done]
+        todo, u_prev = todo[~done], u_n[~done]
+        if n >= cap:
+            failed[todo] = True
+            break
+        n *= 2
+    u = f @ gam / scale
+    return u.reshape(shape), f.reshape(shape + (model.d,)), failed.reshape(shape)
 
 
 def optimal_fraction(
@@ -287,37 +302,20 @@ def optimal_fraction(
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    _power_check(alpha)
+    u, f, failed = evaluate_points(model, alpha, query.t, query.T, query.y, quad)
+    if failed:
+        raise QuadratureNotConverged(f"u_star did not settle to rel_tol {quad.rel_tol}")
+    u = float(u)
     if model.d == 1 or query.t == query.T:
-        return _maturity_value(model, alpha, query.t, query.y)
-    one_minus = 1.0 - alpha
-    y_arr = np.array([query.y], dtype=float)
-    # roundoff floor: doubling cannot settle below summation noise
-    atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * one_minus) + 1.0)
-
-    n = quad.nodes
-    cap = max(NODE_CAP, 2 * quad.nodes)
-    u_prev = None
-    while True:
-        f = _fk_grid_once(model, alpha, query.t, query.T, y_arr, n, quad.half_width)[0]
-        v = float(f @ model.gammas)
-        u = v / (model.sigma * one_minus)
-        if u_prev is not None and abs(u - u_prev) <= quad.rel_tol * max(
-            abs(u), abs(u_prev)
-        ) + atol:
-            myopic = (posterior_mean(model, query.t, query.y) - model.r) / (
-                model.sigma**2 * one_minus
-            )
-            f.setflags(write=False)
-            return StrategyValue(
-                u_star=u, v_star=v, f=f, myopic=myopic, hedging=u - myopic
-            )
-        if n >= cap:
-            raise QuadratureNotConverged(
-                f"u_star still moving by {abs(u - u_prev):.3e} at {n} nodes/panel"
-            )
-        u_prev = u
-        n *= 2
+        myopic = u
+    else:
+        myopic = (posterior_mean(model, query.t, query.y) - model.r) / (
+            model.sigma**2 * (1.0 - alpha)
+        )
+    f.setflags(write=False)
+    return StrategyValue(
+        u_star=u, v_star=float(f @ model.gammas), f=f, myopic=myopic, hedging=u - myopic
+    )
 
 
 def optimal_fraction_grid(
@@ -330,40 +328,23 @@ def optimal_fraction_grid(
 ) -> np.ndarray:
     """Vectorized u*(t, T, y) over an array of y values.
 
-    Same doubling scheme as :func:`optimal_fraction`, with convergence
-    measured on the worst point of the grid.
+    Same doubling scheme as :func:`optimal_fraction`, converged point by
+    point: each y stops at its own first agreeing level, so every value
+    equals the scalar call at that y.
+
+    Raises
+    ------
+    QuadratureNotConverged
+        If any point hits the node cap before two levels agree.
     """
-    _power_check(alpha)
-    one_minus = 1.0 - alpha
     y_arr = np.asarray(y_values, dtype=float).reshape(-1)
-    if model.d == 1:
-        return np.full(y_arr.size, model.gammas[0] / (model.sigma * one_minus))
-    if t == T:
-        if T == 0.0:  # likelihood is identically 1 at time zero
-            v = float(model.prior @ model.gammas)
-            return np.full(y_arr.size, v / (model.sigma * one_minus))
-        lik = np.log(model.prior) + model.gammas * y_arr[:, None] - 0.5 * model.gammas**2 * T
-        lik -= lik.max(axis=-1, keepdims=True)
-        probs = np.exp(lik)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return probs @ model.gammas / (model.sigma * one_minus)
-    atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * one_minus) + 1.0)
-    n = quad.nodes
-    cap = max(NODE_CAP, 2 * quad.nodes)
-    u_prev = None
-    while True:
-        f = _fk_grid_once(model, alpha, t, T, y_arr, n, quad.half_width)
-        u = f @ model.gammas / (model.sigma * one_minus)
-        if u_prev is not None:
-            scale = np.maximum(np.abs(u), np.abs(u_prev))
-            if np.all(np.abs(u - u_prev) <= quad.rel_tol * scale + atol):
-                return u
-        if n >= cap:
-            raise QuadratureNotConverged(
-                f"grid u_star still moving at {n} nodes/panel"
-            )
-        u_prev = u
-        n *= 2
+    u, _, failed = evaluate_points(model, alpha, t, T, y_arr, quad)
+    if failed.any():
+        raise QuadratureNotConverged(
+            f"{int(failed.sum())} of {y_arr.size} grid points did not settle to "
+            f"rel_tol {quad.rel_tol}"
+        )
+    return u
 
 
 def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:
@@ -439,11 +420,11 @@ def mc_fraction(
     # log of phi_var(w) / proposal(w); the 1/(d+1) proposal weight and the
     # shared normal constant cancel inside the ratio estimator
     sq = (w_draw[:, None] - centers) ** 2 / (2.0 * var)
-    log_is = -(w_draw**2) / (2.0 * var) - _lse(-sq, axis=-1) - np.log(centers.size)
+    log_is = -(w_draw**2) / (2.0 * var) - logsumexp(-sq) - np.log(centers.size)
 
     x = query.y + w_draw
     log_lik = np.log(model.prior) + gam * x[:, None] - 0.5 * gam * gam * query.T
-    log_F = _lse(log_lik, axis=-1)
+    log_F = logsumexp(log_lik)
     v = np.exp(log_lik - log_F[:, None]) @ gam  # bounded in [gamma_1, gamma_d]
 
     log_B = log_F / one_minus + log_is

@@ -5,13 +5,12 @@ import pytest
 
 from bayesmerton import (
     InvalidAlpha,
-    QuadratureNotConverged,
     StrategyQuery,
     merton_fraction,
     new_market,
     optimal_fraction,
 )
-import bayesmerton.asymptotics as asym
+import bayesmerton.strategy as strategy_mod
 from bayesmerton.asymptotics import (
     HypothesisViolated,
     InvalidLambda,
@@ -162,14 +161,14 @@ class TestHorizonSweep:
         assert np.all(np.diff(sweep.gaps) <= 1e-12)
 
     def test_failed_rows_are_flagged_and_kept(self, toy, monkeypatch):
-        real = asym.optimal_fraction
+        real = strategy_mod._fk_level
 
-        def flaky(model, alpha, query, quad):
-            if query.T == 4.0:
-                raise QuadratureNotConverged("planted failure")
-            return real(model, alpha, query, quad)
+        def flaky(model, alpha, t, T, y, n_nodes, half_width):
+            f = real(model, alpha, t, T, y, n_nodes, half_width)
+            f[T == 4.0] = np.nan  # planted failure: this row never settles
+            return f
 
-        monkeypatch.setattr(asym, "optimal_fraction", flaky)
+        monkeypatch.setattr(strategy_mod, "_fk_level", flaky)
         sweep = horizon_sweep(toy, 0.5, 0.0, 0.0, [1.0, 2.0, 4.0, 8.0])
         assert sweep.failed.tolist() == [False, False, True, False]
         assert np.isnan(sweep.u_values[2])

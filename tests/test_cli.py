@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import bayesmerton.simkit as simkit
 from bayesmerton.cli import main
 
 
@@ -235,3 +236,16 @@ class TestOptcheck:
         assert main(["--config", cfg, "optcheck"]) == 4
         report = json.loads((out_dir / "optcheck.json").read_text())
         assert report["undominated"] is False
+
+    def test_cache_probe_failure_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
+        # alpha = 0 keeps the table closed-form; a zero tolerance fails any probe
+        monkeypatch.setattr(simkit, "PROBE_TOL", 0.0)
+        cfg = write_config(
+            tmp_path, out_dir, alpha=0.0,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 0.01, "n_paths": 100, "seed": 5},
+        )
+        assert main(["--config", cfg, "optcheck"]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "CacheProbeFailed"
+        assert not (out_dir / "optcheck.json").exists()

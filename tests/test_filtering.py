@@ -6,13 +6,11 @@ import pytest
 
 from bayesmerton import (
     StepTooLarge,
-    likelihood,
-    log_likelihood,
     log_normalizer,
     new_market,
-    normalizer,
     posterior,
     posterior_mean,
+    posterior_weights,
     simulate_filter_sde,
 )
 from bayesmerton.filtering import export_trajectory_csv
@@ -23,42 +21,47 @@ def toy():
     return new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
 
 
+def single_state(mu):
+    """d = 1 market: log F(t, y) is then log L_t(mu, y) itself."""
+    return new_market(0.0, 1.0, (mu,), (1.0,))
+
+
 class TestLikelihood:
     def test_time_zero_is_one_for_any_y(self, toy):
         for y in (-5.0, 0.0, 3.7):
-            for k in range(3):
-                assert likelihood(toy, k, 0.0, y) == 1.0
-                assert log_likelihood(toy, k, 0.0, y) == 0.0
+            for mu in toy.mus:
+                assert log_normalizer(single_state(mu), 0.0, y) == 0.0
 
-    def test_cancelling_exponent(self, toy):
+    def test_cancelling_exponent(self):
         # gamma=2, t=1, y=1: exponent 2*1 - 0.5*4*1 = 0
-        assert likelihood(toy, 1, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert log_normalizer(single_state(2.0), 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_against_high_precision(self, toy):
+    def test_against_high_precision(self):
         # gamma=3, t=1, y=0 -> exp(-4.5); oracle evaluated at 50 digits
         with mp.workdps(50):
             expected = float(mp.e ** mp.mpf("-4.5"))
-        assert likelihood(toy, 2, 1.0, 0.0) == pytest.approx(expected, rel=1e-15)
+        got = np.exp(log_normalizer(single_state(3.0), 1.0, 0.0))
+        assert got == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(1.1109e-2, rel=1e-3)
 
     def test_negative_time_rejected(self, toy):
         with pytest.raises(ValueError):
-            likelihood(toy, 0, -1.0, 0.0)
+            log_normalizer(toy, -1.0, 0.0)
 
 
 class TestNormalizer:
     def test_time_zero(self, toy):
-        assert normalizer(toy, 0.0, 12.3) == 1.0
+        assert np.exp(log_normalizer(toy, 0.0, 12.3)) == 1.0
 
     def test_toy_direct_sum(self, toy):
         expected = 0.3 * np.exp(-0.5) + 0.3 * np.exp(-2.0) + 0.4 * np.exp(-4.5)
-        assert normalizer(toy, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert np.exp(log_normalizer(toy, 1.0, 0.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_single_state_equals_likelihood(self):
-        m = new_market(0.0, 1.0, (2.0,), (1.0,))
-        assert normalizer(m, 1.5, 0.7) == pytest.approx(
-            likelihood(m, 0, 1.5, 0.7), rel=1e-15
-        )
+        m = single_state(2.0)
+        # L_1.5(mu, 0.7) = exp(2 * 0.7 - 0.5 * 4 * 1.5)
+        assert log_normalizer(m, 1.5, 0.7) == pytest.approx(-1.6, rel=1e-15)
+        assert posterior_weights(m, 1.5, 0.7).tolist() == [1.0]
 
     def test_log_identity_vs_naive_summation(self, toy):
         """logsumexp form equals log of the direct sum at moderate exponents."""
@@ -81,6 +84,14 @@ class TestPosterior:
         weights = toy.prior * np.exp(toy.gammas * 0.0 - 0.5 * toy.gammas**2 * 1.0)
         np.testing.assert_allclose(
             posterior(toy, 1.0, 0.0).probs, weights / weights.sum(), rtol=1e-13
+        )
+        # vectorized over a (t, y) grid and continuous at t = 0, where
+        # posterior() instead pins the prior
+        t = np.array([0.0, 0.5, 2.0])[:, None]
+        y = np.array([-1.5, 0.0, 2.5])
+        w = toy.prior * np.exp(toy.gammas * y[..., None] - 0.5 * toy.gammas**2 * t[..., None])
+        np.testing.assert_allclose(
+            posterior_weights(toy, t, y), w / w.sum(axis=-1, keepdims=True), rtol=1e-13
         )
 
     def test_single_state(self):

@@ -196,6 +196,12 @@ class TestCachedStrategy:
         assert strat.probe_error < PROBE_TOL
         got = float(strat(0.3, np.array([0.4]))[0])
         assert got == pytest.approx(log_utility_fraction(toy, 0.3, 0.4), abs=1e-4)
+        # the t = 0 row keeps the continuum form p_k exp(gamma_k y), not the
+        # prior that posterior() pins at t = 0, so rows stay continuous in t
+        y = strat._y_grid
+        w = toy.prior * np.exp(toy.gammas * y[:, None])
+        continuum = (w @ toy.mus / w.sum(axis=1) - toy.r) / toy.sigma**2
+        np.testing.assert_allclose(strat._table[-1], continuum, rtol=1e-12)
 
     def test_rescaled_shares_table(self, toy_strategy):
         doubled = toy_strategy.rescaled(2.0)

@@ -136,7 +136,7 @@ class TestQuadratureValues:
 
     def test_not_converged_at_tiny_cap(self, toy, monkeypatch):
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
-        quad = QuadratureConfig(nodes=8, rel_tol=1e-15)
+        quad = QuadratureConfig(nodes=8, rel_tol=1e-12)
         with pytest.raises(QuadratureNotConverged):
             optimal_fraction(toy, -0.5, StrategyQuery(0.0, 40.0, 0.0), quad)
 
@@ -156,13 +156,48 @@ class TestQuadratureValues:
             QuadratureConfig(half_width=-1.0)
 
 
+def close_drift_market(rng):
+    """Random market with sigma != 1, up to 8 states and some near-tied drifts."""
+    d = int(rng.integers(2, 9))
+    sigma = float(rng.uniform(0.2, 3.0))
+    gaps = np.where(rng.random(d - 1) < 0.3, 1e-3, rng.uniform(0.05, 2.0, d - 1))
+    mus = float(rng.uniform(-4.0, 1.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    return new_market(float(rng.uniform(-0.5, 0.5)), sigma, mus * sigma, rng.dirichlet(np.ones(d)))
+
+
 class TestGridEvaluator:
-    def test_matches_scalar_calls(self, toy):
+    def test_matches_scalar_calls(self, toy, monkeypatch):
         ys = np.array([-3.0, -0.5, 0.0, 1.2, 4.0])
         grid = optimal_fraction_grid(toy, 0.5, 0.2, 1.5, ys)
         for y, u in zip(ys, grid):
             sv = optimal_fraction(toy, 0.5, StrategyQuery(0.2, 1.5, float(y)))
-            assert u == pytest.approx(sv.u_star, rel=1e-10)
+            assert u == pytest.approx(sv.u_star, rel=1e-13)
+
+        # every batched row equals the point evaluated alone, failed flag
+        # included; the small cap leaves some rows of the 8-node start unconverged
+        rng = np.random.default_rng(41)
+        monkeypatch.setattr(strategy_mod, "NODE_CAP", 32)
+        quads = (QuadratureConfig(), QuadratureConfig(nodes=8, rel_tol=1e-12))
+        n_failed = 0
+        for _ in range(12):
+            m = close_drift_market(rng)
+            alpha = float(rng.uniform(-5.0, 0.9))
+            T = 10.0 ** rng.uniform(-2.0, 4.0, size=6)
+            t = T * np.where(rng.random(6) < 0.2, 1.0, rng.random(6))
+            y = rng.normal(0.0, 1.0, size=6) * np.sqrt(T)
+            for quad in quads:
+                u, f, failed = strategy_mod.evaluate_points(m, alpha, t, T, y, quad)
+                for i in range(6):
+                    try:
+                        sv = optimal_fraction(m, alpha, StrategyQuery(t[i], T[i], y[i]), quad)
+                    except QuadratureNotConverged:
+                        assert failed[i] and np.isnan(u[i])
+                        n_failed += 1
+                        continue
+                    assert not failed[i]
+                    assert u[i] == pytest.approx(sv.u_star, rel=1e-13)
+                    np.testing.assert_allclose(f[i], sv.f, rtol=1e-13, atol=1e-15)
+        assert 0 < n_failed < 12 * 6
 
     def test_maturity_and_single_state_paths(self, toy):
         ys = np.array([-1.0, 0.0, 2.0])
@@ -170,6 +205,11 @@ class TestGridEvaluator:
         for y, u in zip(ys, at_maturity):
             expected = (posterior_mean(toy, 2.0, float(y)) - toy.r) / (toy.sigma**2 * 0.5)
             assert u == pytest.approx(expected, rel=1e-12)
+        # T = 0: the likelihood is identically 1, so the prior mean for every y
+        prior_merton = (float(toy.prior @ toy.mus) - toy.r) / (toy.sigma**2 * 0.5)
+        np.testing.assert_allclose(
+            optimal_fraction_grid(toy, 0.5, 0.0, 0.0, ys), prior_merton, rtol=1e-14
+        )
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
         np.testing.assert_allclose(
             optimal_fraction_grid(m, -1.0, 0.0, 3.0, ys), merton_fraction(m, 1.0, -1.0)
