@@ -42,7 +42,7 @@ from .asymptotics import (
     export_sweep_csv,
     horizon_sweep,
 )
-from .filtering import StepTooLarge, posterior, simulate_filter_sde
+from .filtering import StepTooLarge, posterior, posterior_weights, simulate_filter_sde
 from .model import (
     EmptySupport,
     InvalidAlpha,
@@ -305,9 +305,8 @@ def cmd_filter_demo(config: RunConfig) -> int:
     true_index = int(rng.choice(model.d, p=model.prior))
     path = simulate_filter_sde(model, true_index, config.T, config.step, config.seed)
 
-    closed = np.empty_like(path.probs)
-    for i in range(path.times.size):
-        closed[i] = posterior(model, float(path.times[i]), float(path.y[i])).probs
+    closed = posterior_weights(model, path.times, path.y)
+    closed[0] = model.prior  # posterior() pins t = 0 to the prior
     discrepancy = float(np.max(np.abs(path.probs - closed)))
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,14 @@ in the noise and Euler only in the control (the fraction is frozen over each
 step), so positivity of stock and wealth is structural and a constant
 fraction reproduces the closed-form geometric Brownian solution to roundoff.
 
+One stepper, :func:`_step_paths`, serves :func:`simulate_paths` and
+:func:`terminal_wealth`.  It calls the strategy once per time step and moves
+the log-wealth of every scaled candidate ``c * strategy`` from that one value.
+The grid has ``n_steps = max(1, round(T / step))`` steps of ``T / n_steps``,
+so the last time is exactly ``T`` even when ``step`` does not divide it.
+Paths run in blocks of at most ``_BLOCK_ENTRIES`` path-steps, so memory stays
+bounded as ``n_steps`` grows.
+
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
 come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
 (one vector draw in path order), and path ``i`` draws its Brownian
@@ -35,8 +43,18 @@ from .strategy import (
     log_utility_fraction,
 )
 
-#: Paths evolved per vectorized block; has no effect on results.
-BLOCK_SIZE = 16384
+#: Path-steps held per vectorized block (paths x steps of Brownian noise);
+#: has no effect on results.
+_BLOCK_ENTRIES = 1 << 24
+
+#: Strategy-cache table shape: y points across the span, and rows uniform in
+#: sqrt(T - t) (at least 4, for the cubic blend).
+_Y_POINTS = 2001
+_S_POINTS = 65
+
+#: Random (t, y) probes at which the cache must match direct evaluation.
+_PROBE_POINTS = 32
+_PROBE_SEED = 20_060_317
 
 #: Cached-strategy interpolation must reproduce direct evaluation at probe
 #: points to this tolerance.
@@ -82,12 +100,12 @@ class CachedStrategy:
     s = sqrt(T - t), where the fraction varies smoothly all the way to
     maturity.  Lookups interpolate cubically across the four nearest rows
     (the fraction is curved in s; linear rows would need ~10x the build
-    work for the same accuracy) and linearly in y.  The row blended for a
-    given t is memoized, so repeated calls at the same simulation time cost
-    one gather per path.  Queries beyond the y span clamp to the edge
-    values.  ``probe_error`` records the worst interpolation error against
-    direct evaluation at random probe points; construction fails if it
-    exceeds PROBE_TOL.
+    work for the same accuracy) and linearly in y.  The path stepper calls
+    it once per time step for all paths of a block and all scaled
+    candidates, so each row is blended once per step.  Queries beyond the y
+    span clamp to the edge values.  ``probe_error`` records the worst
+    interpolation error against direct evaluation at random probe points;
+    construction fails if it exceeds PROBE_TOL.
     """
 
     def __init__(
@@ -98,8 +116,6 @@ class CachedStrategy:
         s_grid: np.ndarray,
         y_grid: np.ndarray,
         table: np.ndarray,
-        scale: float = 1.0,
-        row_cache: dict[float, np.ndarray] | None = None,
     ):
         self.model = model
         self.alpha = alpha
@@ -107,51 +123,27 @@ class CachedStrategy:
         self._s_grid = s_grid
         self._y_grid = y_grid
         self._table = table
-        self.scale = scale
-        self._ds = s_grid[1] - s_grid[0] if s_grid.size > 1 else 1.0
+        self._ds = s_grid[1] - s_grid[0]
         self._dy = y_grid[1] - y_grid[0]
-        self._row_cache: dict[float, np.ndarray] = {} if row_cache is None else row_cache
         self.probe_error: float | None = None
 
-    def rescaled(self, scale: float) -> "CachedStrategy":
-        """Same table, fraction multiplied by ``scale`` (shares all arrays)."""
-        out = CachedStrategy(
-            self.model, self.alpha, self.T, self._s_grid, self._y_grid, self._table,
-            scale=scale, row_cache=self._row_cache,
-        )
-        out.probe_error = self.probe_error
-        return out
-
     def _row_for_time(self, t: float) -> np.ndarray:
-        row = self._row_cache.get(t)
-        if row is not None:
-            return row
         s = math.sqrt(max(self.T - t, 0.0))
         n = self._s_grid.size
-        if n < 4:
-            row = self._table[0] if n == 1 else None
-            if row is None:
-                pos = min(max(s / self._ds, 0.0), n - 1.0)
-                i = min(int(pos), n - 2)
-                w = pos - i
-                row = (1.0 - w) * self._table[i] + w * self._table[i + 1]
-        else:
-            pos = min(max(s / self._ds, 0.0), n - 1.0)
-            j0 = min(max(int(pos) - 1, 0), n - 4)
-            x = pos - j0
-            # Lagrange cubic through rows j0..j0+3 at offsets 0..3
-            w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
-            w1 = x * (x - 2.0) * (x - 3.0) / 2.0
-            w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
-            w3 = x * (x - 1.0) * (x - 2.0) / 6.0
-            row = (
-                w0 * self._table[j0]
-                + w1 * self._table[j0 + 1]
-                + w2 * self._table[j0 + 2]
-                + w3 * self._table[j0 + 3]
-            )
-        self._row_cache[t] = row
-        return row
+        pos = min(max(s / self._ds, 0.0), n - 1.0)
+        j0 = min(max(int(pos) - 1, 0), n - 4)
+        x = pos - j0
+        # Lagrange cubic through rows j0..j0+3 at offsets 0..3
+        w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
+        w1 = x * (x - 2.0) * (x - 3.0) / 2.0
+        w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
+        w3 = x * (x - 1.0) * (x - 2.0) / 6.0
+        return (
+            w0 * self._table[j0]
+            + w1 * self._table[j0 + 1]
+            + w2 * self._table[j0 + 2]
+            + w3 * self._table[j0 + 3]
+        )
 
     def __call__(self, t: float, y) -> np.ndarray:
         y_arr = np.asarray(y, dtype=float)
@@ -160,11 +152,11 @@ class CachedStrategy:
         pos = (y_arr - self._y_grid[0]) / self._dy
         j = np.clip(pos.astype(np.int64), 0, self._y_grid.size - 2)
         frac = np.clip(pos - j, 0.0, 1.0)
-        return self.scale * (row[j] * (1.0 - frac) + row[j + 1] * frac)
+        return row[j] * (1.0 - frac) + row[j + 1] * frac
 
 
 def default_y_span(model: MarketModel, T: float) -> float:
-    """Default half-span of the strategy cache's y grid: 10 sigma sqrt(T)."""
+    """Half-span of the strategy cache's y grid: 10 sigma sqrt(T)."""
     return 10.0 * model.sigma * math.sqrt(T)
 
 
@@ -173,11 +165,6 @@ def build_feedback_strategy(
     alpha: float,
     T: float,
     quad: QuadratureConfig = QuadratureConfig(),
-    y_span: float | None = None,
-    y_points: int = 2001,
-    s_points: int = 65,
-    probe_points: int = 32,
-    probe_seed: int = 20_060_317,
 ) -> CachedStrategy:
     """Tabulate the optimal feedback fraction for fast path simulation.
 
@@ -185,7 +172,7 @@ def build_feedback_strategy(
     evaluates the whole table at the configured node count in one batched
     call (a single level; the probe check below is what enforces accuracy
     here).  Interpolation is then measured against direct doubling-verified
-    evaluation at ``probe_points`` random (t, y) points and must come in
+    evaluation at ``_PROBE_POINTS`` random (t, y) points and must come in
     under PROBE_TOL.
 
     Raises
@@ -194,10 +181,9 @@ def build_feedback_strategy(
         If the worst probe error reaches PROBE_TOL.
     """
     UtilitySpec(alpha)
-    if y_span is None:
-        y_span = default_y_span(model, T)
-    y_grid = np.linspace(-y_span, y_span, y_points)
-    s_grid = np.linspace(0.0, math.sqrt(T), s_points)
+    y_span = default_y_span(model, T)
+    y_grid = np.linspace(-y_span, y_span, _Y_POINTS)
+    s_grid = np.linspace(0.0, math.sqrt(T), _S_POINTS)
     t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
     if alpha == 0.0:
         # continuum form of the posterior weights, also at t = 0: paths
@@ -209,8 +195,8 @@ def build_feedback_strategy(
         table, _, _ = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)
     strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table)
 
-    rng = np.random.default_rng(probe_seed)
-    probes = rng.uniform([0.0, -y_span], [T, y_span], size=(probe_points, 2))
+    rng = np.random.default_rng(_PROBE_SEED)
+    probes = rng.uniform([0.0, -y_span], [T, y_span], size=(_PROBE_POINTS, 2))
     if alpha == 0.0:
         direct = np.array([log_utility_fraction(model, t, y) for t, y in probes])
     else:
@@ -237,11 +223,76 @@ def _path_increments(seed: int, index: int, n_steps: int, sqrt_dt: float) -> np.
     return rng.standard_normal(n_steps) * sqrt_dt
 
 
-def _as_fraction(value, shape) -> np.ndarray:
-    pi = np.asarray(value, dtype=float)
-    if pi.ndim == 0:
-        return np.full(shape, float(pi))
-    return pi
+def _time_grid(T: float, step: float) -> np.ndarray:
+    """``max(1, round(T / step))`` equal steps from 0 to exactly T.
+
+    ``times[1]`` is the step actually simulated, ``T / n_steps``.
+    """
+    if step <= 0.0 or T <= 0.0:
+        raise ValueError("step and T must be positive")
+    n_steps = max(1, int(round(T / step)))
+    times = np.arange(n_steps + 1) * (T / n_steps)
+    times[-1] = T
+    return times
+
+
+def _record(paths: np.ndarray, block: slice, i: int, y, log_x, pi) -> None:
+    paths[0, block, i] = y
+    paths[1, block, i] = log_x
+    paths[2, block, i] = pi
+
+
+def _step_paths(
+    model: MarketModel,
+    strategy: StrategyFn,
+    scales: Sequence[float],
+    times: np.ndarray,
+    n_paths: int,
+    seed: int,
+    paths: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one path stepper: log X_T of every candidate ``c * strategy``.
+
+    ``strategy`` is called once per time step with the time and the block's
+    observations, and may return a scalar or a vector; the log-wealth of
+    every scale c moves from that one value.  ``paths``, if given, is a
+    ``(3, n_paths, times.size)`` array that receives y, log-wealth and the
+    applied fraction of the first candidate at every grid time.
+
+    Returns the drift indices and log X_T with shape ``(len(scales), n_paths)``.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    n_steps = times.size - 1
+    dt = float(times[1])
+    sqrt_dt = math.sqrt(dt)
+    thetas = _theta_indices(model, n_paths, seed)
+    c = np.asarray(scales, dtype=float)[:, None]
+    sig2 = model.sigma**2
+    log_xt = np.empty((c.shape[0], n_paths))
+    rows = max(1, _BLOCK_ENTRIES // n_steps)
+    for b0 in range(0, n_paths, rows):
+        block = slice(b0, min(b0 + rows, n_paths))
+        B = block.stop - b0
+        dw = np.empty((n_steps, B))  # time-major: each step reads one contiguous row
+        for j in range(B):
+            dw[:, j] = _path_increments(seed, b0 + j, n_steps, sqrt_dt)
+        mu_th = model.mus[thetas[block]]
+        gam_th = model.gammas[thetas[block]]
+        y = np.zeros(B)
+        log_x = np.zeros((c.shape[0], B))
+        for i in range(n_steps):
+            pi = c * strategy(float(times[i]), y)
+            if paths is not None:
+                _record(paths, block, i, y, log_x[0], pi[0])
+            log_x += (
+                model.r + (mu_th - model.r) * pi - 0.5 * sig2 * pi * pi
+            ) * dt + model.sigma * pi * dw[i]
+            y = y + (dw[i] + gam_th * dt)
+        if paths is not None:
+            _record(paths, block, n_steps, y, log_x[0], c[0] * strategy(float(times[-1]), y))
+        log_xt[:, block] = log_x
+    return thetas, log_xt
 
 
 def simulate_paths(
@@ -256,113 +307,54 @@ def simulate_paths(
     """Simulate full paths under a feedback strategy.
 
     The strategy is called once per time step with the current time and the
-    vector of path observations; it may return a scalar or a vector.  Stock
-    and wealth evolve in log space (exact noise, control frozen per step), so
-    both stay positive on every path.  Memory grows with
-    n_paths x n_steps; for terminal-only studies use
-    :func:`optimality_check` or :func:`terminal_wealth`.
+    vector of path observations; it may return a scalar or a vector.  Wealth
+    evolves in log space (exact noise, control frozen per step) and the
+    stock is log S_t = (r - sigma^2 / 2) t + sigma Y_t, so both stay
+    positive on every path.  Memory grows with n_paths x n_steps; for
+    terminal-only studies use :func:`optimality_check` or
+    :func:`terminal_wealth`.
     """
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("step and T must be positive")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n_steps = max(1, int(round(T / step)))
-    sqrt_dt = math.sqrt(step)
-    thetas = _theta_indices(model, n_paths, seed)
-    times = np.arange(n_steps + 1) * step
-    sig2 = model.sigma**2
-
-    bundles: list[PathBundle] = []
-    for b0 in range(0, n_paths, BLOCK_SIZE):
-        b1 = min(b0 + BLOCK_SIZE, n_paths)
-        B = b1 - b0
-        dw = np.stack(
-            [_path_increments(seed, i, n_steps, sqrt_dt) for i in range(b0, b1)]
+    times = _time_grid(T, step)
+    paths = np.empty((3, n_paths, times.size))
+    thetas, _ = _step_paths(model, strategy, [1.0], times, n_paths, seed, paths)
+    y, log_x, frac = paths
+    stock = np.exp((model.r - 0.5 * model.sigma**2) * times + model.sigma * y)
+    wealth = np.exp(log_x)
+    return [
+        PathBundle(
+            seed=int(seed),
+            path_index=j,
+            step=float(times[1]),
+            times=times,
+            theta_index=int(thetas[j]),
+            stock=stock[j],
+            y=y[j],
+            wealth=wealth[j],
+            fraction=frac[j],
+            strategy_name=strategy_name,
         )
-        th = thetas[b0:b1]
-        mu_th = model.mus[th]
-        gam_th = model.gammas[th]
-
-        y = np.zeros((B, n_steps + 1))
-        log_s = np.zeros((B, n_steps + 1))
-        log_x = np.zeros((B, n_steps + 1))
-        frac = np.empty((B, n_steps + 1))
-        for i in range(n_steps):
-            t_i = float(times[i])
-            pi = _as_fraction(strategy(t_i, y[:, i]), (B,))
-            frac[:, i] = pi
-            log_x[:, i + 1] = log_x[:, i] + (
-                model.r + (mu_th - model.r) * pi - 0.5 * sig2 * pi * pi
-            ) * step + model.sigma * pi * dw[:, i]
-            log_s[:, i + 1] = log_s[:, i] + (mu_th - 0.5 * sig2) * step + model.sigma * dw[:, i]
-            y[:, i + 1] = y[:, i] + dw[:, i] + gam_th * step
-        frac[:, n_steps] = _as_fraction(strategy(float(times[n_steps]), y[:, n_steps]), (B,))
-
-        stock = np.exp(log_s)
-        wealth = np.exp(log_x)
-        for j in range(B):
-            bundles.append(
-                PathBundle(
-                    seed=int(seed),
-                    path_index=b0 + j,
-                    step=step,
-                    times=times,
-                    theta_index=int(th[j]),
-                    stock=stock[j],
-                    y=y[j],
-                    wealth=wealth[j],
-                    fraction=frac[j],
-                    strategy_name=strategy_name,
-                )
-            )
-    return bundles
+        for j in range(n_paths)
+    ]
 
 
 def terminal_wealth(
     model: MarketModel,
-    strategies: Sequence[tuple[str, StrategyFn]],
+    strategy: StrategyFn,
+    scales: Sequence[float],
     T: float,
     step: float,
     n_paths: int,
     seed: int,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Terminal log-wealth per path for several strategies under shared noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal log-wealth per path under ``c * strategy`` for each scale c.
 
-    Returns the sampled drift indices and, per strategy, the vector of
-    log X_T.  Identical seeds give identical noise for every strategy
-    (common random numbers), which makes the per-path utility differences
-    directly comparable.
+    Returns the sampled drift indices and log X_T with shape
+    ``(len(scales), n_paths)``, row j under ``scales[j] * strategy``.  The
+    strategy is evaluated once per step for all scales, and every scale sees
+    the same noise (common random numbers), which makes the per-path utility
+    differences directly comparable.
     """
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("step and T must be positive")
-    n_steps = max(1, int(round(T / step)))
-    sqrt_dt = math.sqrt(step)
-    thetas = _theta_indices(model, n_paths, seed)
-    sig2 = model.sigma**2
-    out = {name: np.empty(n_paths) for name, _ in strategies}
-
-    for b0 in range(0, n_paths, BLOCK_SIZE):
-        b1 = min(b0 + BLOCK_SIZE, n_paths)
-        B = b1 - b0
-        dw = np.stack(
-            [_path_increments(seed, i, n_steps, sqrt_dt) for i in range(b0, b1)]
-        )
-        th = thetas[b0:b1]
-        mu_th = model.mus[th]
-        gam_th = model.gammas[th]
-        # observation paths are strategy-independent; build once per block
-        y_path = np.empty((B, n_steps))
-        y_path[:, 0] = 0.0
-        np.cumsum(dw[:, :-1] + gam_th[:, None] * step, axis=1, out=y_path[:, 1:])
-        for name, strat in strategies:
-            log_x = np.zeros(B)
-            for i in range(n_steps):
-                pi = _as_fraction(strat(i * step, y_path[:, i]), (B,))
-                log_x += (
-                    model.r + (mu_th - model.r) * pi - 0.5 * sig2 * pi * pi
-                ) * step + model.sigma * pi * dw[:, i]
-            out[name][b0:b1] = log_x
-    return thetas, out
+    return _step_paths(model, strategy, scales, _time_grid(T, step), n_paths, seed)
 
 
 def _utilities(log_x_terminal: np.ndarray, alpha: float, x0: float) -> np.ndarray:
@@ -407,7 +399,6 @@ def optimality_check(
     seed: int,
     quad: QuadratureConfig = QuadratureConfig(),
     reference_scale: float = 1.0,
-    y_span: float | None = None,
 ) -> dict:
     """Compare the candidate optimal strategy against scaled perturbations.
 
@@ -416,32 +407,29 @@ def optimality_check(
     runs ``c * reference`` on common random numbers.  The report carries
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
-    within 3 paired standard errors.
+    within 3 paired standard errors.  Its ``step`` is the step simulated,
+    ``T / round(T / step)``.
     """
     UtilitySpec(alpha)
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
-    base = build_feedback_strategy(model, alpha, T, quad, y_span=y_span)
-    named = [
-        (f"c={c!r}", base.rescaled(c * reference_scale)) for c in scales
-    ]
-    _, log_xt = terminal_wealth(model, named, T, step, n_paths, seed)
-    utils = {name: _utilities(lx, alpha, 1.0) for name, lx in log_xt.items()}
+    base = build_feedback_strategy(model, alpha, T, quad)
+    _, log_xt = terminal_wealth(
+        model, base, [c * reference_scale for c in scales], T, step, n_paths, seed
+    )
+    utils = _utilities(log_xt, alpha, 1.0)
 
-    strategies_report = []
-    for c, (name, _) in zip(scales, named):
-        u = utils[name]
-        strategies_report.append(
-            {
-                "scale": c,
-                "mean": float(np.mean(u)),
-                "std_error": float(np.std(u, ddof=1) / math.sqrt(u.size)),
-            }
-        )
-    ref = utils[named[0][0]]
+    strategies_report = [
+        {
+            "scale": c,
+            "mean": float(np.mean(u)),
+            "std_error": float(np.std(u, ddof=1) / math.sqrt(u.size)),
+        }
+        for c, u in zip(scales, utils)
+    ]
     paired = []
     undominated = True
-    for c, (name, _) in zip(scales[1:], named[1:]):
-        delta = ref - utils[name]
+    for c, u in zip(scales[1:], utils[1:]):
+        delta = utils[0] - u
         mean = float(np.mean(delta))
         se = float(np.std(delta, ddof=1) / math.sqrt(delta.size))
         dominated = mean < -3.0 * se
@@ -457,7 +445,7 @@ def optimality_check(
     return {
         "alpha": float(alpha),
         "T": float(T),
-        "step": float(step),
+        "step": float(_time_grid(T, step)[1]),
         "n_paths": int(n_paths),
         "seed": int(seed),
         "reference_scale": float(reference_scale),

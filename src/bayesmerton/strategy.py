@@ -242,9 +242,16 @@ def evaluate_points(
     ``quad.nodes`` and none is flagged.
 
     Returns ``(u, f, failed)`` with shapes ``(...)``, ``(..., d)``, ``(...)``.
+
+    Raises
+    ------
+    ValueError
+        Unless every point has finite 0 <= t <= T.
     """
     _power_check(alpha)
     t, T, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, T, y)))
+    if not np.all(np.isfinite(T) & (0.0 <= t) & (t <= T)):
+        raise ValueError("need finite 0 <= t <= T at every point")
     shape = t.shape
     t, T, y = t.reshape(-1), T.reshape(-1), y.reshape(-1)
     gam = model.gammas

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import bayesmerton.simkit as simkit
+from bayesmerton import new_market, posterior
 from bayesmerton.cli import main
 
 
@@ -176,6 +177,21 @@ class TestFilterDemo:
         first = (out_dir / "filter_demo.csv").read_bytes()
         assert main(["--config", cfg, "filter-demo"]) == 0
         assert first == (out_dir / "filter_demo.csv").read_bytes()
+
+    def test_closed_columns_match_posterior(self, tmp_path, out_dir):
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 1e-3, "n_paths": 10, "seed": 3},
+        )
+        assert main(["--config", cfg, "filter-demo"]) == 0
+        model = new_market(**TOY_MARKET)
+        with open(out_dir / "filter_demo.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1001
+        for row in rows:
+            probs = posterior(model, float(row["time"]), float(row["y"])).probs
+            assert [row[f"closed_p_{k + 1}"] for k in range(3)] == [repr(float(p)) for p in probs]
 
     def test_discrepancy_shrinks_with_step(self, tmp_path, out_dir, capsys):
         def run(step):

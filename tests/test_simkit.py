@@ -78,12 +78,24 @@ class TestSimulatePaths:
             assert np.all(b.stock > 0)
             assert b.y[0] == 0.0
 
-    def test_block_size_does_not_change_results(self, toy, monkeypatch):
+    def test_block_size_does_not_change_results(self, toy, toy_strategy, monkeypatch):
         full = simulate_paths(toy, lambda t, y: 0.7, T=0.3, step=0.01, n_paths=12, seed=9)
-        monkeypatch.setattr(simkit, "BLOCK_SIZE", 5)
+        full_tw = terminal_wealth(toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9)
+        monkeypatch.setattr(simkit, "_BLOCK_ENTRIES", 5 * 30)  # 30 steps: 5 paths a block
         split = simulate_paths(toy, lambda t, y: 0.7, T=0.3, step=0.01, n_paths=12, seed=9)
+        split_tw = terminal_wealth(toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9)
         for x, z in zip(full, split):
             np.testing.assert_array_equal(x.wealth, z.wealth)
+        np.testing.assert_array_equal(full_tw[0], split_tw[0])
+        np.testing.assert_array_equal(full_tw[1], split_tw[1])
+
+    def test_step_not_dividing_horizon_ends_at_horizon(self):
+        m = new_market(0.03, 1.0, (0.08,), (1.0,))
+        b = simulate_paths(m, lambda t, y: 0.0, T=1.0, step=0.3, n_paths=1, seed=1)[0]
+        assert b.times[-1] == 1.0
+        assert b.step == 1.0 / 3.0
+        _, log_xt = terminal_wealth(m, lambda t, y: 0.0, [1.0], T=1.0, step=0.3, n_paths=4, seed=1)
+        np.testing.assert_allclose(log_xt, 0.03 * 1.0, rtol=1e-13)
 
 
 class TestObservationConsistency:
@@ -146,24 +158,23 @@ class TestEstimateUtility:
 
     def test_optimal_beats_half_scaled(self, toy, toy_strategy):
         """Paired comparison with common random numbers: u* vs 0.5 u*."""
-        half = toy_strategy.rescaled(0.5)
         _, log_xt = terminal_wealth(
-            toy, [("opt", toy_strategy), ("half", half)], T=1.0, step=5e-3,
-            n_paths=20_000, seed=31,
+            toy, toy_strategy, [1.0, 0.5], T=1.0, step=5e-3, n_paths=20_000, seed=31
         )
-        u_opt = simkit._utilities(log_xt["opt"], 0.5, 1.0)
-        u_half = simkit._utilities(log_xt["half"], 0.5, 1.0)
+        u_opt = simkit._utilities(log_xt[0], 0.5, 1.0)
+        u_half = simkit._utilities(log_xt[1], 0.5, 1.0)
         delta = u_opt - u_half
         se = float(np.std(delta, ddof=1) / math.sqrt(delta.size))
         assert float(np.mean(delta)) >= -3.0 * se
 
     def test_log_optimal_beats_constant(self, toy):
         log_strat = build_feedback_strategy(toy, 0.0, 1.0)
-        _, log_xt = terminal_wealth(
-            toy, [("opt", log_strat), ("const", lambda t, y: 1.0)], T=1.0, step=5e-3,
-            n_paths=20_000, seed=33,
+        # the same seed gives both strategies the same noise
+        _, opt = terminal_wealth(toy, log_strat, [1.0], T=1.0, step=5e-3, n_paths=20_000, seed=33)
+        _, const = terminal_wealth(
+            toy, lambda t, y: 1.0, [1.0], T=1.0, step=5e-3, n_paths=20_000, seed=33
         )
-        delta = log_xt["opt"] - log_xt["const"]  # log utility is log X_T
+        delta = opt[0] - const[0]  # log utility is log X_T
         se = float(np.std(delta, ddof=1) / math.sqrt(delta.size))
         assert float(np.mean(delta)) >= -3.0 * se
 
@@ -172,9 +183,9 @@ class TestEstimateUtility:
         estimates = {}
         for step in (2e-3, 1e-3):
             _, log_xt = terminal_wealth(
-                toy, [("opt", toy_strategy)], T=1.0, step=step, n_paths=100_000, seed=8
+                toy, toy_strategy, [1.0], T=1.0, step=step, n_paths=100_000, seed=8
             )
-            u = simkit._utilities(log_xt["opt"], 0.5, 1.0)
+            u = simkit._utilities(log_xt[0], 0.5, 1.0)
             estimates[step] = (float(np.mean(u)), float(np.std(u, ddof=1) / math.sqrt(u.size)))
         (m1, s1), (m2, s2) = estimates[2e-3], estimates[1e-3]
         assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
@@ -203,10 +214,16 @@ class TestCachedStrategy:
         continuum = (w @ toy.mus / w.sum(axis=1) - toy.r) / toy.sigma**2
         np.testing.assert_allclose(strat._table[-1], continuum, rtol=1e-12)
 
-    def test_rescaled_shares_table(self, toy_strategy):
-        doubled = toy_strategy.rescaled(2.0)
-        y = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(doubled(0.5, y), 2.0 * toy_strategy(0.5, y), rtol=1e-15)
+    def test_rescaled_shares_table(self, toy, toy_strategy):
+        """A scaled candidate steps exactly like the table scaled by hand."""
+        _, shared = terminal_wealth(
+            toy, toy_strategy, [1.0, 2.0], T=1.0, step=0.01, n_paths=64, seed=12
+        )
+        _, doubled = terminal_wealth(
+            toy, lambda t, y: 2.0 * toy_strategy(t, y), [1.0], T=1.0, step=0.01,
+            n_paths=64, seed=12,
+        )
+        np.testing.assert_array_equal(shared[1], doubled[0])
 
     def test_matches_direct_evaluation(self, toy, toy_strategy):
         rng = np.random.default_rng(6)

@@ -215,6 +215,14 @@ class TestGridEvaluator:
             optimal_fraction_grid(m, -1.0, 0.0, 3.0, ys), merton_fraction(m, 1.0, -1.0)
         )
 
+    def test_bad_times_rejected(self, toy):
+        # rejected before sqrt(T - t) can turn NaN
+        with pytest.raises(ValueError):
+            optimal_fraction_grid(toy, 0.5, 2.0, 1.0, [0.0])
+        for t, T in ((-0.1, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError):
+                strategy_mod.evaluate_points(toy, 0.5, t, T, 0.0)
+
 
 class TestMonteCarloOracle:
     def test_frozen_derived_example(self, toy):
