@@ -8,20 +8,22 @@ step), so positivity of stock and wealth is structural and a constant
 fraction reproduces the closed-form geometric Brownian solution to roundoff.
 
 One stepper, :func:`_step_paths`, serves :func:`simulate_paths` and
-:func:`terminal_wealth`.  It calls the strategy once per time step and moves
-the log-wealth of every scaled candidate ``c * strategy`` from that one value.
-The grid has ``n_steps = max(1, round(T / step))`` steps of ``T / n_steps``,
-so the last time is exactly ``T`` even when ``step`` does not divide it.
-Paths run in blocks of at most ``_BLOCK_ENTRIES`` path-steps, so memory stays
-bounded as ``n_steps`` grows.
+:func:`terminal_wealth`.  It moves all paths one time step at a time and
+calls the strategy once per step.  Two running sums per path,
+``gain = sum u_i ((mu_theta - r) dt + sigma dW_i)`` and
+``power = sum u_i^2 dt``, give ``log X_T = r T + c gain - sigma^2 c^2 power / 2``
+for every scaled candidate ``c * strategy``, so memory is a few ``n_paths``
+vectors at any step count.  The grid has ``n_steps = max(1, round(T / step))``
+steps of ``T / n_steps``, so it ends exactly at ``T``.
 
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
 come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
-(one vector draw in path order), and path ``i`` draws its Brownian
-increments from ``SeedSequence(seed, spawn_key=(1, i))``.  Runs with the
-same seed therefore share noise path by path regardless of strategy or
-block size, which is what the paired strategy comparisons rely on; all
-reductions use numpy's pairwise summation over full per-path arrays.
+(one vector draw in path order), and step ``i``'s Brownian increments are
+one ``standard_normal(n_paths)`` draw, element ``j`` for path ``j``, from one
+generator seeded with ``SeedSequence(seed, spawn_key=(1,))``.  Runs with the
+same seed therefore share noise path by path regardless of strategy, which is
+what the paired strategy comparisons rely on; all reductions use numpy's
+pairwise summation over full per-path arrays.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from .strategy import (
     evaluate_points,
     log_utility_fraction,
 )
-
-#: Path-steps held per vectorized block (paths x steps of Brownian noise);
-#: has no effect on results.
-_BLOCK_ENTRIES = 1 << 24
 
 #: Strategy-cache table shape: y points across the span, and rows uniform in
 #: sqrt(T - t) (at least 4, for the cubic blend).
@@ -101,9 +99,10 @@ class CachedStrategy:
     maturity.  Lookups interpolate cubically across the four nearest rows
     (the fraction is curved in s; linear rows would need ~10x the build
     work for the same accuracy) and linearly in y.  The path stepper calls
-    it once per time step for all paths of a block and all scaled
-    candidates, so each row is blended once per step.  Queries beyond the y
-    span clamp to the edge values.  ``probe_error`` records the worst
+    it once per time step for all paths and all scaled candidates, so each
+    row is blended once per step.  Queries beyond the y span clamp to the
+    edge values; ``clamped`` counts them out of ``lookups``, the number of y
+    values looked up since construction.  ``probe_error`` records the worst
     interpolation error against direct evaluation at random probe points;
     construction fails if it exceeds PROBE_TOL.
     """
@@ -126,6 +125,8 @@ class CachedStrategy:
         self._ds = s_grid[1] - s_grid[0]
         self._dy = y_grid[1] - y_grid[0]
         self.probe_error: float | None = None
+        self.lookups = 0
+        self.clamped = 0
 
     def _row_for_time(self, t: float) -> np.ndarray:
         s = math.sqrt(max(self.T - t, 0.0))
@@ -148,6 +149,8 @@ class CachedStrategy:
     def __call__(self, t: float, y) -> np.ndarray:
         y_arr = np.asarray(y, dtype=float)
         row = self._row_for_time(float(t))
+        self.lookups += y_arr.size
+        self.clamped += np.count_nonzero((y_arr < self._y_grid[0]) | (y_arr > self._y_grid[-1]))
         # uniform-grid linear interpolation in y, clamped at the span edges
         pos = (y_arr - self._y_grid[0]) / self._dy
         j = np.clip(pos.astype(np.int64), 0, self._y_grid.size - 2)
@@ -218,11 +221,6 @@ def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
     return rng.choice(model.d, size=n_paths, p=model.prior)
 
 
-def _path_increments(seed: int, index: int, n_steps: int, sqrt_dt: float) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, index)))
-    return rng.standard_normal(n_steps) * sqrt_dt
-
-
 def _time_grid(T: float, step: float) -> np.ndarray:
     """``max(1, round(T / step))`` equal steps from 0 to exactly T.
 
@@ -236,10 +234,9 @@ def _time_grid(T: float, step: float) -> np.ndarray:
     return times
 
 
-def _record(paths: np.ndarray, block: slice, i: int, y, log_x, pi) -> None:
-    paths[0, block, i] = y
-    paths[1, block, i] = log_x
-    paths[2, block, i] = pi
+def _log_wealth(model: MarketModel, t, c, gain: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """log X_t of the candidate ``c * strategy`` from its running sums at time t."""
+    return model.r * t + c * gain - 0.5 * model.sigma**2 * c * c * power
 
 
 def _step_paths(
@@ -251,15 +248,13 @@ def _step_paths(
     seed: int,
     paths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one path stepper: log X_T of every candidate ``c * strategy``.
+    """The one path stepper: drift indices and log X_T of every ``c * strategy``.
 
-    ``strategy`` is called once per time step with the time and the block's
-    observations, and may return a scalar or a vector; the log-wealth of
-    every scale c moves from that one value.  ``paths``, if given, is a
-    ``(3, n_paths, times.size)`` array that receives y, log-wealth and the
-    applied fraction of the first candidate at every grid time.
-
-    Returns the drift indices and log X_T with shape ``(len(scales), n_paths)``.
+    ``strategy`` is called once per time step with the time and the
+    observations of all paths, and may return a scalar or a vector.  log X_T
+    has shape ``(len(scales), n_paths)``.  ``paths``, if given, is a
+    ``(4, n_paths, times.size)`` array that receives y, the running sums
+    ``gain`` and ``power``, and the strategy's fraction at every grid time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -267,32 +262,23 @@ def _step_paths(
     dt = float(times[1])
     sqrt_dt = math.sqrt(dt)
     thetas = _theta_indices(model, n_paths, seed)
-    c = np.asarray(scales, dtype=float)[:, None]
-    sig2 = model.sigma**2
-    log_xt = np.empty((c.shape[0], n_paths))
-    rows = max(1, _BLOCK_ENTRIES // n_steps)
-    for b0 in range(0, n_paths, rows):
-        block = slice(b0, min(b0 + rows, n_paths))
-        B = block.stop - b0
-        dw = np.empty((n_steps, B))  # time-major: each step reads one contiguous row
-        for j in range(B):
-            dw[:, j] = _path_increments(seed, b0 + j, n_steps, sqrt_dt)
-        mu_th = model.mus[thetas[block]]
-        gam_th = model.gammas[thetas[block]]
-        y = np.zeros(B)
-        log_x = np.zeros((c.shape[0], B))
-        for i in range(n_steps):
-            pi = c * strategy(float(times[i]), y)
-            if paths is not None:
-                _record(paths, block, i, y, log_x[0], pi[0])
-            log_x += (
-                model.r + (mu_th - model.r) * pi - 0.5 * sig2 * pi * pi
-            ) * dt + model.sigma * pi * dw[i]
-            y = y + (dw[i] + gam_th * dt)
+    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    excess_dt = (model.mus[thetas] - model.r) * dt
+    gam_dt = model.gammas[thetas] * dt
+    y, gain, power = np.zeros((3, n_paths))
+    for i in range(n_steps):
+        u = strategy(float(times[i]), y)
         if paths is not None:
-            _record(paths, block, n_steps, y, log_x[0], c[0] * strategy(float(times[-1]), y))
-        log_xt[:, block] = log_x
-    return thetas, log_xt
+            paths[:, :, i] = np.broadcast_arrays(y, gain, power, u)
+        dw = noise.standard_normal(n_paths) * sqrt_dt
+        gain += u * (excess_dt + model.sigma * dw)
+        power += u * u * dt
+        y = y + (dw + gam_dt)
+    if paths is not None:
+        u = strategy(float(times[-1]), y)
+        paths[:, :, n_steps] = np.broadcast_arrays(y, gain, power, u)
+    c = np.asarray(scales, dtype=float)[:, None]
+    return thetas, _log_wealth(model, times[-1], c, gain, power)
 
 
 def simulate_paths(
@@ -315,11 +301,11 @@ def simulate_paths(
     :func:`terminal_wealth`.
     """
     times = _time_grid(T, step)
-    paths = np.empty((3, n_paths, times.size))
+    paths = np.empty((4, n_paths, times.size))
     thetas, _ = _step_paths(model, strategy, [1.0], times, n_paths, seed, paths)
-    y, log_x, frac = paths
+    y, gain, power, frac = paths
     stock = np.exp((model.r - 0.5 * model.sigma**2) * times + model.sigma * y)
-    wealth = np.exp(log_x)
+    wealth = np.exp(_log_wealth(model, times, 1.0, gain, power))
     return [
         PathBundle(
             seed=int(seed),
@@ -408,14 +394,20 @@ def optimality_check(
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
     within 3 paired standard errors.  Its ``step`` is the step simulated,
-    ``T / round(T / step)``.
+    ``T / round(T / step)``, and ``clamped_frac`` is the fraction of the
+    simulation's strategy lookups that fell outside the cache's y span.
+    Standard errors need two paths, so ``n_paths < 2`` raises ValueError.
     """
     UtilitySpec(alpha)
+    if n_paths < 2:
+        raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
     base = build_feedback_strategy(model, alpha, T, quad)
+    lookups, clamped = base.lookups, base.clamped  # the probes' lookups
     _, log_xt = terminal_wealth(
         model, base, [c * reference_scale for c in scales], T, step, n_paths, seed
     )
+    clamped_frac = (base.clamped - clamped) / (base.lookups - lookups)
     utils = _utilities(log_xt, alpha, 1.0)
 
     strategies_report = [
@@ -450,6 +442,7 @@ def optimality_check(
         "seed": int(seed),
         "reference_scale": float(reference_scale),
         "probe_error": float(base.probe_error),
+        "clamped_frac": float(clamped_frac),
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),
@@ -473,6 +466,5 @@ def export_path_csv(bundle: PathBundle, stream: IO[str]) -> None:
 
 
 def export_report_json(report: dict, stream: IO[str]) -> None:
-    """Write an optimality report as deterministic, sorted JSON."""
-    json.dump(report, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """Write an optimality report as sorted JSON; NaN or inf raise ValueError, writing nothing."""
+    stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")

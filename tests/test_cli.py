@@ -253,6 +253,17 @@ class TestOptcheck:
         report = json.loads((out_dir / "optcheck.json").read_text())
         assert report["undominated"] is False
 
+    def test_single_path_exits_2(self, tmp_path, out_dir, capsys):
+        cfg = write_config(
+            tmp_path, out_dir, alpha=0.0,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 0.1, "n_paths": 1, "seed": 1},
+        )
+        assert main(["--config", cfg, "optcheck"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ValueError"
+        assert not (out_dir / "optcheck.json").exists()
+
     def test_cache_probe_failure_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
         # alpha = 0 keeps the table closed-form; a zero tolerance fails any probe
         monkeypatch.setattr(simkit, "PROBE_TOL", 0.0)

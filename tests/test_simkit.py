@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,16 +79,27 @@ class TestSimulatePaths:
             assert np.all(b.stock > 0)
             assert b.y[0] == 0.0
 
-    def test_block_size_does_not_change_results(self, toy, toy_strategy, monkeypatch):
-        full = simulate_paths(toy, lambda t, y: 0.7, T=0.3, step=0.01, n_paths=12, seed=9)
-        full_tw = terminal_wealth(toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9)
-        monkeypatch.setattr(simkit, "_BLOCK_ENTRIES", 5 * 30)  # 30 steps: 5 paths a block
-        split = simulate_paths(toy, lambda t, y: 0.7, T=0.3, step=0.01, n_paths=12, seed=9)
-        split_tw = terminal_wealth(toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9)
-        for x, z in zip(full, split):
-            np.testing.assert_array_equal(x.wealth, z.wealth)
-        np.testing.assert_array_equal(full_tw[0], split_tw[0])
-        np.testing.assert_array_equal(full_tw[1], split_tw[1])
+    def test_recorded_log_wealth_equals_terminal_wealth(self, toy, toy_strategy):
+        bundles = simulate_paths(toy, toy_strategy, T=0.3, step=0.01, n_paths=12, seed=9)
+        thetas, log_xt = terminal_wealth(
+            toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9
+        )
+        np.testing.assert_array_equal([b.theta_index for b in bundles], thetas)
+        np.testing.assert_array_equal([b.wealth[-1] for b in bundles], np.exp(log_xt[0]))
+
+    def test_memory_does_not_grow_with_steps(self, toy):
+        peaks = []
+        for step in (0.02, 0.002):
+            tracemalloc.start()
+            try:
+                terminal_wealth(
+                    toy, lambda t, y: 0.5 + 0.1 * y, [1.0, 0.5], T=1.0, step=step,
+                    n_paths=10_000, seed=4,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_step_not_dividing_horizon_ends_at_horizon(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
@@ -98,15 +110,43 @@ class TestSimulatePaths:
         np.testing.assert_allclose(log_xt, 0.03 * 1.0, rtol=1e-13)
 
 
+class TestStepperReference:
+    def test_matches_per_step_loop_on_general_market(self):
+        """Two running sums reproduce the literal log-space step per candidate."""
+        m = new_market(0.02, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
+        strat = build_feedback_strategy(m, 0.0, 1.0)
+        scales, n_paths, n_steps, seed = [1.0, 0.5, 2.0], 500, 100, 17
+        thetas, log_xt = terminal_wealth(m, strat, scales, T=1.0, step=0.01, n_paths=n_paths, seed=seed)
+
+        drift_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        np.testing.assert_array_equal(thetas, drift_rng.choice(m.d, size=n_paths, p=m.prior))
+        noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        dt = 1.0 / n_steps
+        mu, gam = m.mus[thetas], m.gammas[thetas]
+        y = np.zeros(n_paths)
+        log_x = np.zeros((len(scales), n_paths))
+        for i in range(n_steps):
+            base = strat(i * dt, y)
+            dw = noise.standard_normal(n_paths) * math.sqrt(dt)
+            for k, c in enumerate(scales):
+                pi = c * base
+                log_x[k] += (
+                    m.r + (mu - m.r) * pi - 0.5 * m.sigma**2 * pi * pi
+                ) * dt + m.sigma * pi * dw
+            y = y + dw + gam * dt
+        np.testing.assert_allclose(np.exp(log_xt), np.exp(log_x), rtol=1e-12)
+
+
 class TestObservationConsistency:
     def test_y_equals_brownian_plus_drift(self, toy):
         bundles = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=4, seed=13)
+        # one noise stream; step i draws one increment per path, in path order
+        rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(1,)))
+        dw = np.array([rng.standard_normal(4) for _ in range(100)]) * math.sqrt(0.01)
+        w = np.vstack((np.zeros(4), np.cumsum(dw, axis=0)))
         for b in bundles:
-            rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(1, b.path_index)))
-            dw = rng.standard_normal(100) * math.sqrt(0.01)
-            w = np.concatenate(([0.0], np.cumsum(dw)))
             np.testing.assert_allclose(
-                b.y, w + toy.gammas[b.theta_index] * b.times, atol=1e-12
+                b.y, w[:, b.path_index] + toy.gammas[b.theta_index] * b.times, atol=1e-12
             )
 
     def test_posterior_concentrates_on_true_drift(self, toy):
@@ -247,6 +287,7 @@ class TestOptimalityCheck:
         assert report["undominated"] is True
         assert {s["scale"] for s in report["strategies"]} == {1.0, 0.5, 2.0}
         assert all(not p["dominates_reference"] for p in report["paired"])
+        assert report["clamped_frac"] == 0.0  # toy paths stay inside the y span
 
     def test_trivial_perturbation_set(self, toy):
         report = optimality_check(toy, -0.5, 1.0, [1.0], step=0.01, n_paths=2_000, seed=5)
@@ -263,6 +304,17 @@ class TestOptimalityCheck:
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
         report = optimality_check(m, 0.5, 1.0, [0.5, 2.0], step=0.01, n_paths=20_000, seed=6)
         assert report["undominated"] is True
+
+
+    def test_clamped_lookups_reported(self):
+        # sigma = 0.3: the y span 10 sigma sqrt(T) is narrower than where paths go
+        m = new_market(0.0, 0.3, (0.3, 0.6, 0.9), (0.3, 0.3, 0.4))
+        report = optimality_check(m, 0.0, 1.0, [0.5], step=0.01, n_paths=2_000, seed=5)
+        assert 0.0 < report["clamped_frac"] < 1.0
+
+    def test_single_path_rejected(self, toy):
+        with pytest.raises(ValueError, match="n_paths"):
+            optimality_check(toy, 0.0, 1.0, [0.5], step=0.1, n_paths=1, seed=1)
 
 
 class TestExports:
@@ -283,3 +335,9 @@ class TestExports:
         parsed = json.loads(buf.getvalue())
         assert parsed["undominated"] == report["undominated"]
         assert parsed["strategies"][0]["scale"] == 1.0
+
+    def test_report_json_rejects_nan(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            export_report_json({"mean": float("nan")}, buf)
+        assert buf.getvalue() == ""
