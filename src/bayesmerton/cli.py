@@ -42,7 +42,7 @@ from .asymptotics import (
     export_sweep_csv,
     horizon_sweep,
 )
-from .filtering import StepTooLarge, posterior, posterior_weights, simulate_filter_sde
+from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
 from .model import (
     EmptySupport,
     InvalidAlpha,
@@ -58,7 +58,7 @@ from .strategy import (
     DegenerateHorizon,
     QuadratureConfig,
     QuadratureNotConverged,
-    log_utility_fraction,
+    evaluate_points,
     optimal_fraction,
 )
 
@@ -71,7 +71,9 @@ _CONFIG_ERRORS = (
     InvalidLambda,
     HypothesisViolated,
 )
-_NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, DegenerateHorizon, CacheProbeFailed)
+_NUMERICAL_ERRORS = (
+    QuadratureNotConverged, StepTooLarge, DegenerateHorizon, CacheProbeFailed, FloatingPointError
+)
 
 
 class ConfigError(ValueError):
@@ -182,9 +184,9 @@ def cmd_eval(config: RunConfig) -> int:
     """Print u*, v*, f_k, myopic term, and hedging demand at the query point."""
     query = StrategyQuery(t=config.t, T=config.T, y=config.y)
     if config.alpha == 0.0:
-        u = log_utility_fraction(config.model, query.t, query.y)
-        f = posterior(config.model, query.t, query.y).probs
-        v = u * config.model.sigma
+        # log utility: the horizon-free closed form at (t, t, y)
+        u, f, _ = evaluate_points(config.model, 0.0, query.t, query.t, query.y)
+        u, v = float(u), float(f @ config.model.gammas)
         myopic, hedging = u, 0.0
     else:
         sv = optimal_fraction(config.model, config.alpha, query, config.quad)

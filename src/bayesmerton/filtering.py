@@ -61,6 +61,19 @@ class FilterPath:
     seed: int
 
 
+def _time_grid(T: float, step: float) -> np.ndarray:
+    """``max(1, round(T / step))`` equal steps from 0 to exactly T, for both simulators.
+
+    ``times[1]`` is the step actually simulated, ``T / n_steps``.
+    """
+    if step <= 0.0 or T <= 0.0:
+        raise ValueError("step and T must be positive")
+    n_steps = max(1, int(round(T / step)))
+    times = np.arange(n_steps + 1) * (T / n_steps)
+    times[-1] = T
+    return times
+
+
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted log-sum-exp along one axis."""
     shift = np.max(a, axis=axis, keepdims=True)
@@ -128,7 +141,8 @@ def simulate_filter_sde(
     The true Brownian path and the innovation increments come from a single
     RNG stream (all Brownian increments drawn upfront, in time order) so
     paired comparisons are reproducible from the seed alone.  Each Euler step
-    is clipped to [1e-12, 1] and renormalized.
+    is clipped to [1e-12, 1] and renormalized.  The grid ends exactly at
+    the horizon; ``FilterPath.step`` is the step simulated.
 
     Returns the posterior trajectory together with the driving ``Y`` path, so
     the closed form :func:`posterior` is evaluable at matching times.
@@ -138,11 +152,11 @@ def simulate_filter_sde(
     StepTooLarge
         If any pre-clip posterior coordinate leaves [-0.1, 1.1].
     """
-    if step <= 0.0 or horizon <= 0.0:
-        raise ValueError("step and horizon must be positive")
+    times = _time_grid(horizon, step)
     if not 0 <= true_drift_index < model.d:
         raise IndexError(f"true_drift_index {true_drift_index} out of range")
-    n_steps = max(1, int(round(horizon / step)))
+    n_steps = times.size - 1
+    step = float(times[1])
     rng = np.random.default_rng(seed)
     dw = rng.standard_normal(n_steps) * np.sqrt(step)
 
@@ -170,7 +184,6 @@ def simulate_filter_sde(
         p /= p.sum()
         probs[i + 1] = p
         y[i + 1] = y[i] + dw[i] + gamma_true * step
-    times = np.arange(n_steps + 1) * step
     return FilterPath(
         times=times,
         probs=probs,

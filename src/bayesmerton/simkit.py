@@ -36,14 +36,9 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .filtering import posterior_weights
+from .filtering import _time_grid
 from .model import MarketModel, UtilitySpec
-from .strategy import (
-    QuadratureConfig,
-    QuadratureNotConverged,
-    evaluate_points,
-    log_utility_fraction,
-)
+from .strategy import QuadratureConfig, QuadratureNotConverged, evaluate_points
 
 #: Strategy-cache table shape: y points across the span, and rows uniform in
 #: sqrt(T - t) (at least 4, for the cubic blend).
@@ -102,9 +97,10 @@ class CachedStrategy:
     it once per time step for all paths and all scaled candidates, so each
     row is blended once per step.  Queries beyond the y span clamp to the
     edge values; ``clamped`` counts them out of ``lookups``, the number of y
-    values looked up since construction.  ``probe_error`` records the worst
-    interpolation error against direct evaluation at random probe points;
-    construction fails if it exceeds PROBE_TOL.
+    values looked up through calls (the build's probe check does not count).
+    ``probe_error`` records the worst interpolation error against direct
+    evaluation at random probe points; construction fails if it exceeds
+    PROBE_TOL.
     """
 
     def __init__(
@@ -146,16 +142,19 @@ class CachedStrategy:
             + w3 * self._table[j0 + 3]
         )
 
-    def __call__(self, t: float, y) -> np.ndarray:
-        y_arr = np.asarray(y, dtype=float)
+    def _lookup(self, t: float, y: np.ndarray) -> np.ndarray:
         row = self._row_for_time(float(t))
-        self.lookups += y_arr.size
-        self.clamped += np.count_nonzero((y_arr < self._y_grid[0]) | (y_arr > self._y_grid[-1]))
         # uniform-grid linear interpolation in y, clamped at the span edges
-        pos = (y_arr - self._y_grid[0]) / self._dy
+        pos = (y - self._y_grid[0]) / self._dy
         j = np.clip(pos.astype(np.int64), 0, self._y_grid.size - 2)
         frac = np.clip(pos - j, 0.0, 1.0)
         return row[j] * (1.0 - frac) + row[j + 1] * frac
+
+    def __call__(self, t: float, y) -> np.ndarray:
+        y_arr = np.asarray(y, dtype=float)
+        self.lookups += y_arr.size
+        self.clamped += np.count_nonzero((y_arr < self._y_grid[0]) | (y_arr > self._y_grid[-1]))
+        return self._lookup(t, y_arr)
 
 
 def default_y_span(model: MarketModel, T: float) -> float:
@@ -171,42 +170,31 @@ def build_feedback_strategy(
 ) -> CachedStrategy:
     """Tabulate the optimal feedback fraction for fast path simulation.
 
-    alpha = 0 tabulates the horizon-free logarithmic fraction; anything else
-    evaluates the whole table at the configured node count in one batched
-    call (a single level; the probe check below is what enforces accuracy
-    here).  Interpolation is then measured against direct doubling-verified
-    evaluation at ``_PROBE_POINTS`` random (t, y) points and must come in
-    under PROBE_TOL.
+    One batched ``evaluate_points`` call fills the whole table at the
+    configured node count (a single level; the probe check below enforces
+    accuracy); under alpha = 0 its t = 0 row keeps the continuum posterior,
+    so rows stay continuous in t.  A second, doubling-verified call at
+    ``_PROBE_POINTS`` random (t, y) points must match the interpolation to
+    PROBE_TOL.
 
     Raises
     ------
     CacheProbeFailed
         If the worst probe error reaches PROBE_TOL.
     """
-    UtilitySpec(alpha)
     y_span = default_y_span(model, T)
     y_grid = np.linspace(-y_span, y_span, _Y_POINTS)
     s_grid = np.linspace(0.0, math.sqrt(T), _S_POINTS)
     t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
-    if alpha == 0.0:
-        # continuum form of the posterior weights, also at t = 0: paths
-        # only query (t=0, y=0) where it agrees with the defined value,
-        # and interpolation towards t > 0 must stay continuous
-        probs = posterior_weights(model, t_rows, y_grid)
-        table = (probs @ model.mus - model.r) / model.sigma**2
-    else:
-        table, _, _ = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)
+    table, _, _ = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)
     strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table)
 
     rng = np.random.default_rng(_PROBE_SEED)
     probes = rng.uniform([0.0, -y_span], [T, y_span], size=(_PROBE_POINTS, 2))
-    if alpha == 0.0:
-        direct = np.array([log_utility_fraction(model, t, y) for t, y in probes])
-    else:
-        direct, _, failed = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
-        if failed.any():
-            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
-    cached = np.array([strat(t, np.array([y]))[0] for t, y in probes])
+    direct, _, failed = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
+    if failed.any():
+        raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
+    cached = np.array([strat._lookup(t, np.array([y]))[0] for t, y in probes])
     worst = float(np.max(np.abs(cached - direct), initial=0.0))
     strat.probe_error = worst
     if not worst < PROBE_TOL:
@@ -219,19 +207,6 @@ def build_feedback_strategy(
 def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     return rng.choice(model.d, size=n_paths, p=model.prior)
-
-
-def _time_grid(T: float, step: float) -> np.ndarray:
-    """``max(1, round(T / step))`` equal steps from 0 to exactly T.
-
-    ``times[1]`` is the step actually simulated, ``T / n_steps``.
-    """
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("step and T must be positive")
-    n_steps = max(1, int(round(T / step)))
-    times = np.arange(n_steps + 1) * (T / n_steps)
-    times[-1] = T
-    return times
 
 
 def _log_wealth(model: MarketModel, t, c, gain: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -347,7 +322,27 @@ def _utilities(log_x_terminal: np.ndarray, alpha: float, x0: float) -> np.ndarra
     log_xt = np.log(x0) + log_x_terminal
     if alpha == 0.0:
         return log_xt
-    return np.exp(alpha * log_xt) / alpha
+    with np.errstate(over="ignore"):  # inf is caught by _mean_and_se
+        return np.exp(alpha * log_xt) / alpha
+
+
+def _mean_and_se(sample: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a 1-D sample.
+
+    ValueError below 2 samples; FloatingPointError unless both are finite.
+    """
+    n = sample.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(sample))
+        se = float(np.std(sample, ddof=1) / math.sqrt(n))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise FloatingPointError(
+            f"utility mean {mean} or standard error {se} is not finite; "
+            "terminal utilities overflow double range"
+        )
+    return mean, se
 
 
 def estimate_utility(
@@ -358,21 +353,16 @@ def estimate_utility(
     U is the power utility x^alpha / alpha, or log x for alpha = 0.  Bundles
     are simulated with unit initial wealth; x0 rescales terminal wealth,
     which for power utility just multiplies the estimate by x0^alpha.
+    The standard error needs two bundles, so fewer raise ValueError.
     """
     UtilitySpec(alpha)
-    if len(bundles) == 0:
-        raise ValueError("no bundles")
     if x0 <= 0.0:
         raise ValueError("x0 must be positive")
-    horizon = bundles[0].times[-1]
-    for b in bundles:
-        if b.times[-1] != horizon:
-            raise ValueError("bundles do not share a horizon")
-    log_xt = np.log(np.array([b.wealth[-1] for b in bundles]))
-    u = _utilities(log_xt, alpha, x0)
-    n = u.size
-    se = float(np.std(u, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return UtilityEstimate(mean=float(np.mean(u)), std_error=se, n_paths=n)
+    if len({b.times[-1] for b in bundles}) > 1:
+        raise ValueError("bundles do not share a horizon")
+    u = _utilities(np.log(np.array([b.wealth[-1] for b in bundles])), alpha, x0)
+    mean, se = _mean_and_se(u)
+    return UtilityEstimate(mean=mean, std_error=se, n_paths=u.size)
 
 
 def optimality_check(
@@ -396,34 +386,27 @@ def optimality_check(
     within 3 paired standard errors.  Its ``step`` is the step simulated,
     ``T / round(T / step)``, and ``clamped_frac`` is the fraction of the
     simulation's strategy lookups that fell outside the cache's y span.
-    Standard errors need two paths, so ``n_paths < 2`` raises ValueError.
+    Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
+    utilities that overflow double range raise FloatingPointError.
     """
     UtilitySpec(alpha)
     if n_paths < 2:
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
     base = build_feedback_strategy(model, alpha, T, quad)
-    lookups, clamped = base.lookups, base.clamped  # the probes' lookups
     _, log_xt = terminal_wealth(
         model, base, [c * reference_scale for c in scales], T, step, n_paths, seed
     )
-    clamped_frac = (base.clamped - clamped) / (base.lookups - lookups)
     utils = _utilities(log_xt, alpha, 1.0)
 
-    strategies_report = [
-        {
-            "scale": c,
-            "mean": float(np.mean(u)),
-            "std_error": float(np.std(u, ddof=1) / math.sqrt(u.size)),
-        }
-        for c, u in zip(scales, utils)
-    ]
+    strategies_report = []
+    for c, u in zip(scales, utils):
+        mean, se = _mean_and_se(u)
+        strategies_report.append({"scale": c, "mean": mean, "std_error": se})
     paired = []
     undominated = True
     for c, u in zip(scales[1:], utils[1:]):
-        delta = utils[0] - u
-        mean = float(np.mean(delta))
-        se = float(np.std(delta, ddof=1) / math.sqrt(delta.size))
+        mean, se = _mean_and_se(utils[0] - u)
         dominated = mean < -3.0 * se
         undominated = undominated and not dominated
         paired.append(
@@ -442,7 +425,7 @@ def optimality_check(
         "seed": int(seed),
         "reference_scale": float(reference_scale),
         "probe_error": float(base.probe_error),
-        "clamped_frac": float(clamped_frac),
+        "clamped_frac": base.clamped / base.lookups,
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),

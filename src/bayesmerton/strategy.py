@@ -29,10 +29,11 @@ The posterior state weights at the shifted observation y + z sqrt(T-t),
 which the numerator needs, are the responsibilities q_k phi_k(z) / sum_j
 q_j phi_j(z) of that same mixture, so the kernel gets them from the
 log-sum-exp it already forms.  One evaluator, :func:`evaluate_points`,
-serves every caller: it takes broadcast arrays of (t, T, y) points, sends
-t = T and d = 1 to the closed form, and doubles the node count with a mask
-per point, so each point stops at its own first level that agrees with the
-previous one.
+serves every caller: it takes broadcast arrays of (t, T, y) points and
+doubles the node count with a mask per point, so each point stops at its own
+first level that agrees with the previous one.  It is also the one home of
+the posterior-mean Merton closed form, exact at t = T, for d = 1, and under
+log utility (alpha = 0) at every horizon.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import logsumexp, posterior, posterior_mean, posterior_weights
+from .filtering import logsumexp, posterior, posterior_weights
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
@@ -120,11 +121,9 @@ class McFraction:
     n_samples: int
 
 
-def _power_check(alpha: float) -> UtilitySpec:
-    util = UtilitySpec(alpha)
-    if util.is_log:
+def _power_check(alpha: float) -> None:
+    if UtilitySpec(alpha).is_log:
         raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
-    return util
 
 
 def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
@@ -232,12 +231,13 @@ def evaluate_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u*, f and a failure flag at broadcast arrays of points (t, T, y).
 
-    Points with t = T, and all points when d = 1, take the posterior-mean
-    Merton closed form (degenerate Gaussians break node placement).  The
-    rest run the quadrature.  With ``doubling``, the per-panel node count
+    Points with t = T, and all points when d = 1 or alpha = 0, take the
+    posterior-mean Merton closed form f = posterior_weights(model, t, y)
+    (the prior where T = 0), u = f @ gamma / (sigma (1 - alpha)); the rest
+    run the quadrature.  With ``doubling``, the per-panel node count
     doubles from ``quad.nodes`` and each point stops at its own first level
     whose u* agrees with the previous level's to ``quad.rel_tol``; the finer
-    value wins.  Points still moving at the node cap keep NaN and come back
+    value wins.  Points still moving at the node cap come back NaN and
     flagged.  Without ``doubling``, every point gets the single level
     ``quad.nodes`` and none is flagged.
 
@@ -245,33 +245,34 @@ def evaluate_points(
 
     Raises
     ------
+    InvalidAlpha
+        For alpha >= 1.
     ValueError
         Unless every point has finite 0 <= t <= T.
     """
-    _power_check(alpha)
-    t, T, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, T, y)))
+    UtilitySpec(alpha)
+    t, T, y = (np.asarray(a, dtype=float) for a in (t, T, y))
+    # L_0 = 1: at T = 0 the weights are the prior for any y (quadrature needs T > 0)
+    t, T, y = np.broadcast_arrays(t, T, np.where(T == 0.0, 0.0, y))
     if not np.all(np.isfinite(T) & (0.0 <= t) & (t <= T)):
         raise ValueError("need finite 0 <= t <= T at every point")
     shape = t.shape
-    t, T, y = t.reshape(-1), T.reshape(-1), y.reshape(-1)
     gam = model.gammas
     scale = model.sigma * (1.0 - alpha)
-    f = np.full((t.size, model.d), np.nan)
-    failed = np.zeros(t.size, dtype=bool)
-
-    closed = (t == T) | (model.d == 1)
-    # L_0 = 1: at T = 0 the weights are the prior for any y
-    T_c = T[closed]
-    f[closed] = posterior_weights(model, T_c, np.where(T_c == 0.0, 0.0, y[closed]))
+    # every point starts from the closed form; quadrature points overwrite it
+    f = posterior_weights(model, t, y).reshape(-1, model.d)
+    failed = np.zeros(f.shape[0], dtype=bool)
 
     # roundoff floor: doubling cannot settle below summation noise
     atol = 1e-13 * (np.abs(gam).max() / scale + 1.0)
     cap = max(NODE_CAP, 2 * quad.nodes)
-    todo = np.flatnonzero(~closed)
+    quadrature = (t != T) & (model.d > 1) & (alpha != 0.0)
+    todo = np.flatnonzero(quadrature)
+    t, T, y = t[quadrature], T[quadrature], y[quadrature]  # the points of todo
     n = quad.nodes
     u_prev = None
     while todo.size:
-        f_n = _fk_level(model, alpha, t[todo], T[todo], y[todo], n, quad.half_width)
+        f_n = _fk_level(model, alpha, t, T, y, n, quad.half_width)
         u_n = f_n @ gam / scale
         if u_prev is None:
             done = np.full(todo.size, not doubling)
@@ -280,9 +281,10 @@ def evaluate_points(
                 np.abs(u_n), np.abs(u_prev)
             ) + atol
         f[todo[done]] = f_n[done]
-        todo, u_prev = todo[~done], u_n[~done]
+        todo, u_prev, t, T, y = (a[~done] for a in (todo, u_n, t, T, y))
         if n >= cap:
             failed[todo] = True
+            f[todo] = np.nan
             break
         n *= 2
     u = f @ gam / scale
@@ -300,7 +302,7 @@ def optimal_fraction(
     Doubles the per-panel node count, starting from ``quad.nodes``, until two
     successive u* values agree to ``quad.rel_tol``; the finer value wins.
     t = T and d = 1 short-circuit to the posterior-mean Merton closed form
-    before any quadrature (degenerate Gaussians break node placement).
+    before any quadrature; the myopic term is that form at (t, t, y).
 
     Raises
     ------
@@ -309,16 +311,13 @@ def optimal_fraction(
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    u, f, failed = evaluate_points(model, alpha, query.t, query.T, query.y, quad)
+    _power_check(alpha)
+    (u, myopic), (f, _), (failed, _) = evaluate_points(
+        model, alpha, query.t, [query.T, query.t], query.y, quad
+    )
     if failed:
         raise QuadratureNotConverged(f"u_star did not settle to rel_tol {quad.rel_tol}")
-    u = float(u)
-    if model.d == 1 or query.t == query.T:
-        myopic = u
-    else:
-        myopic = (posterior_mean(model, query.t, query.y) - model.r) / (
-            model.sigma**2 * (1.0 - alpha)
-        )
+    u, myopic = float(u), float(myopic)
     f.setflags(write=False)
     return StrategyValue(
         u_star=u, v_star=float(f @ model.gammas), f=f, myopic=myopic, hedging=u - myopic
@@ -344,6 +343,7 @@ def optimal_fraction_grid(
     QuadratureNotConverged
         If any point hits the node cap before two levels agree.
     """
+    _power_check(alpha)
     y_arr = np.asarray(y_values, dtype=float).reshape(-1)
     u, _, failed = evaluate_points(model, alpha, t, T, y_arr, quad)
     if failed.any():
@@ -357,9 +357,10 @@ def optimal_fraction_grid(
 def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:
     """Optimal fraction under logarithmic utility: (mu_hat(t, y) - r) / sigma^2.
 
-    Independent of the horizon.
+    Independent of the horizon: the closed form of :func:`evaluate_points`
+    at (t, t, y), so t = 0 gives the prior mean for every y.
     """
-    return (posterior_mean(model, t, y) - model.r) / model.sigma**2
+    return float(evaluate_points(model, 0.0, t, t, y)[0])
 
 
 def fk_profile(

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -275,4 +276,20 @@ class TestOptcheck:
         assert main(["--config", cfg, "optcheck"]) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "CacheProbeFailed"
+        assert not (out_dir / "optcheck.json").exists()
+
+    def test_utility_overflow_exits_3(self, tmp_path, out_dir, capsys):
+        # 200x the alpha = -5 fraction drives X_T^alpha past double range
+        cfg = write_config(
+            tmp_path, out_dir, alpha=-5.0,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 0.01, "n_paths": 200, "seed": 5},
+            optcheck={"perturbations": [200.0]},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            assert main(["--config", cfg, "optcheck"]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "FloatingPointError"
+        assert "overflow" in error["message"]
         assert not (out_dir / "optcheck.json").exists()

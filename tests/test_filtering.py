@@ -143,6 +143,17 @@ class TestFilterSde:
             path.y, w + toy.gammas[2] * path.times, rtol=0, atol=1e-12
         )
 
+    def test_step_not_dividing_horizon_ends_at_horizon(self, toy):
+        for step, n_steps in ((0.3, 3), (0.4, 2)):
+            path = simulate_filter_sde(toy, 2, 1.0, step, seed=9)
+            assert path.times.size == n_steps + 1
+            assert path.times[-1] == 1.0
+            assert path.step == 1.0 / n_steps
+            # y drifts with the step actually simulated
+            rng = np.random.default_rng(9)
+            w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(n_steps) * np.sqrt(path.step))))
+            np.testing.assert_allclose(path.y, w + toy.gammas[2] * path.times, rtol=0, atol=1e-12)
+
     def test_rows_stay_on_simplex(self, toy):
         path = simulate_filter_sde(toy, 0, 5.0, 1e-3, seed=3)
         assert np.all(path.probs > 0)

@@ -230,6 +230,20 @@ class TestEstimateUtility:
         (m1, s1), (m2, s2) = estimates[2e-3], estimates[1e-3]
         assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
 
+    def test_single_bundle_rejected(self, toy):
+        # one path gives no standard error; 0.0 would claim an exact estimate
+        bundles = simulate_paths(toy, lambda t, y: 1.0, 1.0, 0.01, 1, 3)
+        with pytest.raises(ValueError, match="2 samples"):
+            estimate_utility(bundles, 0.5)
+        with pytest.raises(ValueError):
+            estimate_utility([], 0.5)
+
+    def test_utility_overflow_raises(self, toy):
+        # log X_T near -260 at 25x leverage: X_T is a double, X_T^-5 is not
+        bundles = simulate_paths(toy, lambda t, y: 25.0, 1.0, 0.01, 50, 3)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            estimate_utility(bundles, -5.0)
+
     def test_mixed_horizons_rejected(self, toy):
         a = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=2, seed=1)
         b = simulate_paths(toy, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=2, seed=1)
@@ -272,6 +286,13 @@ class TestCachedStrategy:
             y = float(rng.uniform(-3.0, 3.0))
             direct = optimal_fraction(toy, 0.5, StrategyQuery(t, 1.0, y)).u_star
             assert float(toy_strategy(t, np.array([y]))[0]) == pytest.approx(direct, abs=1e-4)
+
+    def test_probe_check_does_not_count_lookups(self, toy):
+        strat = build_feedback_strategy(toy, 0.0, 1.0)
+        assert strat.probe_error is not None
+        assert (strat.lookups, strat.clamped) == (0, 0)
+        strat(0.5, np.array([0.0, 100.0]))
+        assert (strat.lookups, strat.clamped) == (2, 1)
 
     def test_clamps_outside_span(self, toy_strategy):
         inside = float(toy_strategy(0.0, np.array([9.99]))[0])

@@ -127,12 +127,19 @@ class TestQuadratureValues:
             assert abs(sv.f.sum() - 1.0) < 1e-8
 
     def test_log_case_rejected(self, toy):
+        # the power-utility entry points; evaluate_points itself takes alpha = 0
         with pytest.raises(InvalidAlpha):
             optimal_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0))
+        with pytest.raises(InvalidAlpha):
+            optimal_fraction_grid(toy, 0.0, 0.0, 1.0, [0.0])
+        with pytest.raises(InvalidAlpha):
+            mc_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0), 100, seed=0)
 
     def test_alpha_one_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
             optimal_fraction(toy, 1.0, StrategyQuery(0.0, 1.0, 0.0))
+        with pytest.raises(InvalidAlpha):
+            strategy_mod.evaluate_points(toy, 1.0, 0.0, 1.0, 0.0)
 
     def test_not_converged_at_tiny_cap(self, toy, monkeypatch):
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
@@ -331,3 +338,52 @@ class TestLogUtility:
         for alpha in (1e-3, -1e-3):
             sv = optimal_fraction(toy, alpha, StrategyQuery(0.0, 1.0, 0.0))
             assert abs(sv.u_star - lu) < 1e-2
+
+
+class TestOneClosedForm:
+    """The posterior-mean Merton closed form on a sigma != 1, r != 0 market."""
+
+    @pytest.fixture
+    def market(self):
+        return new_market(0.01, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
+
+    @staticmethod
+    def continuum_log_fraction(m, t, y):
+        # (mu_hat(t, y) - r) / sigma^2 with weights p_k exp(gamma_k y - gamma_k^2 t / 2)
+        w = m.prior * np.exp(m.gammas * y - 0.5 * m.gammas**2 * t)
+        return (float(w @ m.mus / w.sum()) - m.r) / m.sigma**2
+
+    def test_log_utility_points_match_continuum_formula(self, market):
+        T = 2.0
+        ts = np.array([0.0, 0.3, 1.0, 1.7, T])
+        ys = np.array([-1.5, -0.2, 0.0, 0.4, 2.5])
+        t, y = np.meshgrid(ts, ys, indexing="ij")
+        u, f, failed = strategy_mod.evaluate_points(market, 0.0, t, T, y)
+        assert not failed.any()
+        np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=1e-14)
+        for i, j in np.ndindex(t.shape):
+            expected = self.continuum_log_fraction(market, t[i, j], y[i, j])
+            assert u[i, j] == pytest.approx(expected, rel=1e-13)
+        # horizon-free: a longer horizon gives the same values
+        u_long, _, _ = strategy_mod.evaluate_points(market, 0.0, t, 50.0, y)
+        np.testing.assert_array_equal(u_long, u)
+
+    def test_myopic_is_posterior_mean_merton(self, market):
+        rng = np.random.default_rng(41)
+        for alpha in (0.5, -0.5, -3.0):
+            for t, T in ((0.0, 1.0), (0.4, 1.5), (2.0, 2.0)):
+                for y in rng.normal(0.0, 1.0, size=2):
+                    sv = optimal_fraction(market, alpha, StrategyQuery(t, T, float(y)))
+                    expected = (posterior_mean(market, t, float(y)) - market.r) / (
+                        market.sigma**2 * (1.0 - alpha)
+                    )
+                    assert sv.myopic == pytest.approx(expected, rel=1e-13)
+                    assert sv.hedging == sv.u_star - sv.myopic
+
+    def test_log_fraction_at_time_zero_is_prior_mean(self, market):
+        expected = (float(market.prior @ market.mus) - market.r) / market.sigma**2
+        for y in (-2.0, 0.7, 3.0):
+            assert log_utility_fraction(market, 0.0, y) == pytest.approx(expected, rel=1e-14)
+        assert log_utility_fraction(market, 0.8, 0.7) == pytest.approx(
+            self.continuum_log_fraction(market, 0.8, 0.7), rel=1e-13
+        )
