@@ -219,7 +219,7 @@ def horizon_sweep(
     StrategyQuery(t=t, T=float(horizons_arr[0]), y=y)  # needs finite t, y and 0 <= t <= T
     limit = limit_fraction(model, alpha)
 
-    u_values, _, failed = evaluate_points(model, alpha, t, horizons_arr, y, quad)
+    u_values, _, failed, _ = evaluate_points(model, alpha, t, horizons_arr, y, quad)
     gaps = np.abs(u_values - limit)
     with np.errstate(invalid="ignore"):
         within = (gaps / abs(limit) < gap_tol) & ~failed if limit != 0.0 else gaps < gap_tol

@@ -159,8 +159,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     reference_scale = float(over("reference_scale", opt.get("reference_scale", 1.0)))
     out_dir = Path(over("out_dir", raw.get("out_dir", ".")))
 
-    if step <= 0.0:
-        raise ConfigError(f"sim.step must be positive, got {step}")
     if n_paths < 1:
         raise ConfigError(f"sim.n_paths must be >= 1, got {n_paths}")
     return RunConfig(
@@ -180,12 +178,22 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     )
 
 
+def _sim_step(config: RunConfig) -> float:
+    """The simulation step, checked only by the commands that simulate.
+
+    Its default 1e-3 T is 0 at T = 0, where eval and sweep still run.
+    """
+    if config.step <= 0.0:
+        raise ConfigError(f"sim.step must be positive, got {config.step}")
+    return config.step
+
+
 def cmd_eval(config: RunConfig) -> int:
     """Print u*, v*, f_k, myopic term, and hedging demand at the query point."""
     query = StrategyQuery(t=config.t, T=config.T, y=config.y)
     if config.alpha == 0.0:
         # log utility: the horizon-free closed form at (t, t, y)
-        u, f, _ = evaluate_points(config.model, 0.0, query.t, query.t, query.y)
+        u, f, _, _ = evaluate_points(config.model, 0.0, query.t, query.t, query.y)
         u, v = float(u), float(f @ config.model.gammas)
         myopic, hedging = u, 0.0
     else:
@@ -305,7 +313,7 @@ def cmd_filter_demo(config: RunConfig) -> int:
     model = config.model
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     true_index = int(rng.choice(model.d, p=model.prior))
-    path = simulate_filter_sde(model, true_index, config.T, config.step, config.seed)
+    path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
 
     closed = posterior_weights(model, path.times, path.y)
     closed[0] = model.prior  # posterior() pins t = 0 to the prior
@@ -337,7 +345,7 @@ def cmd_optcheck(config: RunConfig) -> int:
         config.alpha,
         config.T,
         config.perturbations,
-        step=config.step,
+        step=_sim_step(config),
         n_paths=config.n_paths,
         seed=config.seed,
         quad=config.quad,

@@ -31,19 +31,28 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, IO, Sequence
 
 import numpy as np
 
 from .filtering import _time_grid
 from .model import MarketModel, UtilitySpec
-from .strategy import QuadratureConfig, QuadratureNotConverged, evaluate_points
+from .strategy import (
+    MIN_NODES,
+    QuadratureConfig,
+    QuadratureNotConverged,
+    evaluate_points,
+    needs_quadrature,
+)
 
 #: Strategy-cache table shape: y points across the span, and rows uniform in
 #: sqrt(T - t) (at least 4, for the cubic blend).
 _Y_POINTS = 2001
 _S_POINTS = 65
+
+#: Every _LEVEL_STRIDE-th y point of a row measures the row's node order.
+_LEVEL_STRIDE = 16
 
 #: Random (t, y) probes at which the cache must match direct evaluation.
 _PROBE_POINTS = 32
@@ -98,9 +107,10 @@ class CachedStrategy:
     row is blended once per step.  Queries beyond the y span clamp to the
     edge values; ``clamped`` counts them out of ``lookups``, the number of y
     values looked up through calls (the build's probe check does not count).
-    ``probe_error`` records the worst interpolation error against direct
-    evaluation at random probe points; construction fails if it exceeds
-    PROBE_TOL.
+    ``row_nodes`` is the per-panel node order each row was built at, 0 for
+    closed-form rows.  ``probe_error`` records the worst interpolation error
+    against direct evaluation at random probe points; construction fails if
+    it exceeds PROBE_TOL.
     """
 
     def __init__(
@@ -111,6 +121,7 @@ class CachedStrategy:
         s_grid: np.ndarray,
         y_grid: np.ndarray,
         table: np.ndarray,
+        row_nodes: np.ndarray,
     ):
         self.model = model
         self.alpha = alpha
@@ -118,6 +129,7 @@ class CachedStrategy:
         self._s_grid = s_grid
         self._y_grid = y_grid
         self._table = table
+        self.row_nodes = row_nodes
         self._ds = s_grid[1] - s_grid[0]
         self._dy = y_grid[1] - y_grid[0]
         self.probe_error: float | None = None
@@ -170,15 +182,21 @@ def build_feedback_strategy(
 ) -> CachedStrategy:
     """Tabulate the optimal feedback fraction for fast path simulation.
 
-    One batched ``evaluate_points`` call fills the whole table at the
-    configured node count (a single level; the probe check below enforces
-    accuracy); under alpha = 0 its t = 0 row keeps the continuum posterior,
-    so rows stay continuous in t.  A second, doubling-verified call at
-    ``_PROBE_POINTS`` random (t, y) points must match the interpolation to
-    PROBE_TOL.
+    Each row is built at the node order it measurably needs.  The doubling
+    loop of ``evaluate_points`` runs from MIN_NODES on every _LEVEL_STRIDE-th
+    y point of every row; a row's order is the coarser level of the
+    agreeing pair of its slowest point, and one single-level
+    ``evaluate_points`` call per distinct order fills those rows.  Where no
+    point needs quadrature (d = 1 or alpha = 0) there is no search, and one
+    call fills the table from the closed form; under alpha = 0 its t = 0 row
+    keeps the continuum posterior, so rows stay continuous in t.  A
+    doubling-verified call from ``quad.nodes`` at ``_PROBE_POINTS`` random
+    (t, y) points must match the interpolation to PROBE_TOL.
 
     Raises
     ------
+    QuadratureNotConverged
+        If a point of the order search or a probe hits the node cap.
     CacheProbeFailed
         If the worst probe error reaches PROBE_TOL.
     """
@@ -186,12 +204,32 @@ def build_feedback_strategy(
     y_grid = np.linspace(-y_span, y_span, _Y_POINTS)
     s_grid = np.linspace(0.0, math.sqrt(T), _S_POINTS)
     t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
-    table, _, _ = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)
-    strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table)
+    if needs_quadrature(model, alpha):
+        _, _, failed, nodes = evaluate_points(
+            model, alpha, t_rows, T, y_grid[::_LEVEL_STRIDE], replace(quad, nodes=MIN_NODES)
+        )
+        if failed.any():
+            raise QuadratureNotConverged(
+                f"{int(failed.sum())} points of the table's node search did not converge"
+            )
+        # a point reports the finer level of its agreeing pair, closed-form points 0
+        row_nodes = nodes.max(axis=1) // 2
+        table = np.empty((s_grid.size, y_grid.size))
+        for n in np.unique(row_nodes).tolist():
+            rows = row_nodes == n
+            table[rows] = evaluate_points(
+                model, alpha, t_rows[rows], T, y_grid, replace(quad, nodes=n or quad.nodes),
+                doubling=False,
+            )[0]
+    else:
+        # one call, so the closed-form build holds no second table in memory
+        row_nodes = np.zeros(s_grid.size, dtype=np.int32)
+        table = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)[0]
+    strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table, row_nodes)
 
     rng = np.random.default_rng(_PROBE_SEED)
     probes = rng.uniform([0.0, -y_span], [T, y_span], size=(_PROBE_POINTS, 2))
-    direct, _, failed = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
+    direct, _, failed, _ = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
     if failed.any():
         raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
     cached = np.array([strat._lookup(t, np.array([y]))[0] for t, y in probes])
@@ -384,8 +422,9 @@ def optimality_check(
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
     within 3 paired standard errors.  Its ``step`` is the step simulated,
-    ``T / round(T / step)``, and ``clamped_frac`` is the fraction of the
-    simulation's strategy lookups that fell outside the cache's y span.
+    ``T / round(T / step)``, ``clamped_frac`` is the fraction of the
+    simulation's strategy lookups that fell outside the cache's y span, and
+    ``table_nodes`` lists the node order of each cache row from s = 0 up.
     Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
     utilities that overflow double range raise FloatingPointError.
     """
@@ -426,6 +465,7 @@ def optimality_check(
         "reference_scale": float(reference_scale),
         "probe_error": float(base.probe_error),
         "clamped_frac": base.clamped / base.lookups,
+        "table_nodes": base.row_nodes.tolist(),
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),

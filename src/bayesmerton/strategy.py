@@ -21,17 +21,20 @@ and weights q_k(T) = p_k exp(gamma_k^2 (T a - t) / (2 (1-a)) + gamma_k y)
 1/(1-a), each component decays like a unit-variance Gaussian around its
 mean, for every alpha < 1.  Quadrature therefore runs on per-component
 panels of configurable half-width around those means, clipped at midpoints
-between neighbours, with Gauss-Legendre nodes per panel and log-sum-exp
-accumulation throughout, so no intermediate quantity leaves double range
+between neighbours, with Gauss-Legendre nodes per panel.  Each node's
+mixture terms are shifted by their largest before one exp pass, and the
+node integrands by theirs, so no intermediate quantity leaves double range
 even for horizons of 10^4 and |gamma| of 10.
 
 The posterior state weights at the shifted observation y + z sqrt(T-t),
 which the numerator needs, are the responsibilities q_k phi_k(z) / sum_j
 q_j phi_j(z) of that same mixture, so the kernel gets them from the
-log-sum-exp it already forms.  One evaluator, :func:`evaluate_points`,
+shifted terms it already forms.  One evaluator, :func:`evaluate_points`,
 serves every caller: it takes broadcast arrays of (t, T, y) points and
 doubles the node count with a mask per point, so each point stops at its own
-first level that agrees with the previous one.  It is also the one home of
+first level that agrees with the previous one, and it reports the node count
+each point took; the strategy cache measures each table row's order from
+those counts on a subsample of the row.  It is also the one home of
 the posterior-mean Merton closed form, exact at t = T, for d = 1, and under
 log utility (alpha = 0) at every horizon.
 """
@@ -48,6 +51,9 @@ from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
 #: Node-doubling ceiling per panel; a point reaching it without two
 #: successive evaluations agreeing is flagged as not converged.
 NODE_CAP = 1024
+
+#: Smallest per-panel Gauss-Legendre order a quadrature may use.
+MIN_NODES = 8
 
 #: Working-set bound of the quadrature kernel in (point x node x state)
 #: entries; larger chunks raise peak memory without running faster.
@@ -68,10 +74,12 @@ class QuadratureNotConverged(RuntimeError):
 class QuadratureConfig:
     """Gaussian-integral engine settings.
 
-    ``nodes`` is the per-panel Gauss-Legendre order the doubling loop starts
-    from, ``half_width`` the panel half-width in effective standard
-    deviations, ``rel_tol`` the agreement target between successive node
-    doublings.
+    ``nodes`` is the per-panel Gauss-Legendre order that direct evaluations
+    (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
+    probes) start doubling from, at least MIN_NODES; the strategy cache's
+    table measures its own order per row instead.  ``half_width`` is the
+    panel half-width in effective standard deviations, ``rel_tol`` the
+    agreement target between successive node doublings.
     """
 
     nodes: int = 64
@@ -79,8 +87,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.nodes < 8:
-            raise ValueError(f"nodes must be >= 8, got {self.nodes}")
+        if self.nodes < MIN_NODES:
+            raise ValueError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
         if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not self.half_width > 0.0:
@@ -173,6 +181,14 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def needs_quadrature(model: MarketModel, alpha: float) -> bool:
+    """Whether points with t < T run the quadrature: d > 1 and alpha != 0.
+
+    Otherwise :func:`evaluate_points` takes the closed form at every point.
+    """
+    return model.d > 1 and alpha != 0.0
+
+
 def _fk_level(
     model: MarketModel,
     alpha: float,
@@ -187,10 +203,16 @@ def _fk_level(
     Each point gets one Gauss-Legendre panel of ``n_nodes`` nodes per mixture
     mean, of the given half-width and clipped at the midpoint towards each
     neighbour, so panels never overlap; the omitted inter-panel gaps only
-    ever hold integrand mass below exp(-half_width^2/2) of the peak.  All
-    sums of positive terms run as log-sum-exp; f_k leaves the log domain only
-    at the very end.  Points are processed in chunks of at most
-    _CHUNK_ENTRIES (point x node x state) entries.
+    ever hold integrand mass below exp(-half_width^2/2) of the peak.
+
+    One exp pass over the (point x state x node) log-joint serves both
+    integrands: each node's terms are shifted by their maximum, so the
+    shifted terms lie in [0, 1] with a largest entry of 1, and their sum
+    ``mix`` in [1, d].  The node's log integrand is then its log weight plus
+    (top + log mix) / (1 - alpha), and f is the sum of the shifted terms
+    weighted by exp(node - max node) / mix, normalized at the end.  No
+    intermediate leaves [0, 1] or double range.  Points are processed in
+    chunks of at most _CHUNK_ENTRIES (point x node x state) entries.
     """
     x, w = _legendre_rule(n_nodes)
     one_minus = 1.0 - alpha
@@ -208,15 +230,21 @@ def _fk_level(
         z = (half * x + 0.5 * (a + b)[..., None]).reshape(means.shape[0], -1)  # (P, K)
         log_w = np.log(half * w).reshape(z.shape)
 
-        # log of p_k phi_k(z) up to a term shared by all k and z, which cancels in f
-        joint = log_p[:, None, :] - 0.5 * one_minus * (z[..., None] - means[:, None, :]) ** 2
-        log_mix = logsumexp(joint)  # (P, K)
-        # stabilized integrand (mixture)^(1/(1-alpha)) times the node weight
-        node = log_w + log_mix / one_minus
-        # joint - log_mix are the responsibilities: the posterior state
-        # weights at the shifted observation y + z sqrt(T - t)
-        joint += (node - log_mix)[..., None]
-        out[part] = np.exp(logsumexp(joint, axis=1) - logsumexp(node)[:, None])
+        # log of p_k phi_k(z) up to a term shared by all k and z, which cancels
+        # in f; states on the middle axis, so the reductions over them are
+        # elementwise passes over contiguous node rows
+        joint = log_p[:, :, None] - 0.5 * one_minus * (z[:, None, :] - means[..., None]) ** 2
+        top = joint.max(axis=1)  # (P, K)
+        # the one exp pass: the largest entry per node is 1, so mix lies in [1, d]
+        resp = np.exp(joint - top[:, None, :])
+        mix = resp.sum(axis=1)
+        # log of the stabilized integrand (mixture)^(1/(1-alpha)) times the node weight
+        node = log_w + (top + np.log(mix)) / one_minus
+        # resp / mix are the responsibilities: the posterior state weights at
+        # the shifted observation y + z sqrt(T - t)
+        weight = np.exp(node - node.max(axis=1, keepdims=True)) / mix
+        f = np.matmul(resp, weight[..., None])[..., 0]
+        out[part] = f / f.sum(axis=1, keepdims=True)
     return out
 
 
@@ -228,20 +256,23 @@ def evaluate_points(
     y,
     quad: QuadratureConfig = QuadratureConfig(),
     doubling: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u*, f and a failure flag at broadcast arrays of points (t, T, y).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """u*, f, a failure flag and the node count at broadcast arrays of points (t, T, y).
 
-    Points with t = T, and all points when d = 1 or alpha = 0, take the
-    posterior-mean Merton closed form f = posterior_weights(model, t, y)
-    (the prior where T = 0), u = f @ gamma / (sigma (1 - alpha)); the rest
-    run the quadrature.  With ``doubling``, the per-panel node count
-    doubles from ``quad.nodes`` and each point stops at its own first level
-    whose u* agrees with the previous level's to ``quad.rel_tol``; the finer
-    value wins.  Points still moving at the node cap come back NaN and
-    flagged.  Without ``doubling``, every point gets the single level
-    ``quad.nodes`` and none is flagged.
+    Points with t = T, and all points unless :func:`needs_quadrature`, take
+    the posterior-mean Merton closed form f = posterior_weights(model, t, y)
+    (the prior where T = 0), u = f @ gamma / (sigma (1 - alpha)), and report
+    0 nodes; the rest run the quadrature.  With ``doubling``, the per-panel
+    node count doubles from ``quad.nodes`` and each point stops at its own
+    first level whose u* agrees with the previous level's to
+    ``quad.rel_tol``; the finer value wins and its node count is reported,
+    so the coarser level of the agreeing pair is half of it.  Points still
+    moving at the node cap come back NaN and flagged, reporting the cap.
+    Without ``doubling``, every point gets the single level ``quad.nodes``
+    and none is flagged.
 
-    Returns ``(u, f, failed)`` with shapes ``(...)``, ``(..., d)``, ``(...)``.
+    Returns ``(u, f, failed, nodes)`` with shapes ``(...)``, ``(..., d)``,
+    ``(...)``, ``(...)``.
 
     Raises
     ------
@@ -262,11 +293,12 @@ def evaluate_points(
     # every point starts from the closed form; quadrature points overwrite it
     f = posterior_weights(model, t, y).reshape(-1, model.d)
     failed = np.zeros(f.shape[0], dtype=bool)
+    nodes = np.zeros(f.shape[0], dtype=np.int32)
 
     # roundoff floor: doubling cannot settle below summation noise
     atol = 1e-13 * (np.abs(gam).max() / scale + 1.0)
     cap = max(NODE_CAP, 2 * quad.nodes)
-    quadrature = (t != T) & (model.d > 1) & (alpha != 0.0)
+    quadrature = (t != T) & needs_quadrature(model, alpha)
     todo = np.flatnonzero(quadrature)
     t, T, y = t[quadrature], T[quadrature], y[quadrature]  # the points of todo
     n = quad.nodes
@@ -281,14 +313,18 @@ def evaluate_points(
                 np.abs(u_n), np.abs(u_prev)
             ) + atol
         f[todo[done]] = f_n[done]
+        nodes[todo[done]] = n
         todo, u_prev, t, T, y = (a[~done] for a in (todo, u_n, t, T, y))
         if n >= cap:
             failed[todo] = True
             f[todo] = np.nan
+            nodes[todo] = n
             break
         n *= 2
     u = f @ gam / scale
-    return u.reshape(shape), f.reshape(shape + (model.d,)), failed.reshape(shape)
+    return (
+        u.reshape(shape), f.reshape(shape + (model.d,)), failed.reshape(shape), nodes.reshape(shape)
+    )
 
 
 def optimal_fraction(
@@ -312,7 +348,7 @@ def optimal_fraction(
         If the node cap is hit before two levels agree.
     """
     _power_check(alpha)
-    (u, myopic), (f, _), (failed, _) = evaluate_points(
+    (u, myopic), (f, _), (failed, _), _ = evaluate_points(
         model, alpha, query.t, [query.T, query.t], query.y, quad
     )
     if failed:
@@ -345,7 +381,7 @@ def optimal_fraction_grid(
     """
     _power_check(alpha)
     y_arr = np.asarray(y_values, dtype=float).reshape(-1)
-    u, _, failed = evaluate_points(model, alpha, t, T, y_arr, quad)
+    u, _, failed, _ = evaluate_points(model, alpha, t, T, y_arr, quad)
     if failed.any():
         raise QuadratureNotConverged(
             f"{int(failed.sum())} of {y_arr.size} grid points did not settle to "

@@ -48,6 +48,49 @@ def naive_ratio_u(
         return num / den / (model.sigma * om)
 
 
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    top = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(top, axis=axis) + np.log(np.sum(np.exp(a - top), axis=axis))
+
+
+def two_logsumexp_fk(
+    model: MarketModel,
+    alpha: float,
+    t: np.ndarray,
+    T: np.ndarray,
+    y: np.ndarray,
+    n_nodes: int,
+    half_width: float,
+) -> np.ndarray:
+    """Reference quadrature kernel: f at points with t < T, shape (P, d).
+
+    The same panels and nodes as the package kernel, but in the earlier
+    two-log-sum-exp form: the log mixture density is one log-sum-exp over
+    states, and each f_k is a log-sum-exp over nodes of the responsibility
+    times the node integrand, minus the log-sum-exp of the node integrands.
+    """
+    om = 1.0 - alpha
+    gam = model.gammas
+    t, T, y = (np.asarray(a, dtype=float)[:, None] for a in (t, T, y))
+    log_q = np.log(model.prior) + 0.5 * gam * gam * (T * alpha - t) / om + gam * y
+    log_p = log_q - _logsumexp(log_q)[:, None]
+    means = gam * np.sqrt(T - t) / om
+    a = means - half_width
+    b = means + half_width
+    mid = 0.5 * (means[:, :-1] + means[:, 1:])
+    a[:, 1:] = np.maximum(a[:, 1:], mid)
+    b[:, :-1] = np.minimum(b[:, :-1], mid)
+    x, w = _legendre(n_nodes)
+    half = (0.5 * (b - a))[..., None]
+    z = (half * x + 0.5 * (a + b)[..., None]).reshape(means.shape[0], -1)
+    log_w = np.log(half * w).reshape(z.shape)
+    joint = log_p[:, None, :] - 0.5 * om * (z[..., None] - means[:, None, :]) ** 2
+    log_mix = _logsumexp(joint)
+    node = log_w + log_mix / om
+    joint += (node - log_mix)[..., None]
+    return np.exp(_logsumexp(joint, axis=1) - _logsumexp(node)[:, None])
+
+
 def random_market(
     rng: np.random.Generator,
     d_max: int = 5,

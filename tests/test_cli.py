@@ -66,6 +66,13 @@ class TestEval:
         u = float(out.splitlines()[0].split("=")[1])
         assert u == pytest.approx(1.13230301161, rel=1e-9)
 
+    def test_zero_horizon_needs_no_sim_step(self, tmp_path, out_dir, capsys):
+        # the default sim.step 1e-3 T is 0 here, and eval simulates nothing
+        cfg = write_config(tmp_path, out_dir, query={"t": 0.0, "T": 0.0, "y": 1.2})
+        assert main(["--config", cfg, "eval"]) == 0
+        out = capsys.readouterr().out
+        assert "u_star  = 4.2\n" in out  # prior mean 2.1 / (sigma (1 - alpha)), for any y
+
     def test_malformed_prior_exits_2_naming_error(self, tmp_path, out_dir, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({
@@ -220,6 +227,14 @@ class TestFilterDemo:
         out = capsys.readouterr().out
         assert float(out.splitlines()[-1].split("=")[1]) == 0.0
 
+    def test_nonpositive_step_exits_2(self, tmp_path, out_dir, capsys):
+        for command in ("filter-demo", "optcheck"):
+            cfg = write_config(tmp_path, out_dir, sim={"step": 0.0, "n_paths": 10, "seed": 1})
+            assert main(["--config", cfg, command]) == 2
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "ConfigError"
+            assert "sim.step" in error["message"]
+
     def test_unstable_step_exits_3(self, tmp_path, out_dir, capsys):
         cfg = tmp_path / "wild.json"
         cfg.write_text(json.dumps({
@@ -242,6 +257,20 @@ class TestOptcheck:
         assert main(["--config", cfg, "optcheck"]) == 0
         report = json.loads((out_dir / "optcheck.json").read_text())
         assert report["undominated"] is True
+
+    def test_byte_identical_reruns_with_table_nodes(self, tmp_path, out_dir, capsys):
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 0.01, "n_paths": 200, "seed": 5},
+            optcheck={"perturbations": [1.0]},
+        )
+        assert main(["--config", cfg, "optcheck"]) == 0
+        first = (out_dir / "optcheck.json").read_bytes()
+        assert main(["--config", cfg, "optcheck"]) == 0
+        assert (out_dir / "optcheck.json").read_bytes() == first
+        nodes = json.loads(first)["table_nodes"]
+        assert nodes[0] == 0 and all(n in (8, 16, 32, 64) for n in nodes[1:])
 
     def test_wrong_reference_exit_4(self, tmp_path, out_dir):
         cfg = write_config(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bayesmerton import (
+    QuadratureConfig,
     StrategyQuery,
     log_utility_fraction,
     merton_fraction,
@@ -15,6 +16,7 @@ from bayesmerton import (
     posterior,
 )
 import bayesmerton.simkit as simkit
+import bayesmerton.strategy as strategy_mod
 from bayesmerton.simkit import (
     PROBE_TOL,
     build_feedback_strategy,
@@ -300,6 +302,50 @@ class TestCachedStrategy:
         assert outside == pytest.approx(inside, abs=1e-6)
 
 
+class TestRightSizedTable:
+    """Each cache row is built at the node order its subsample measured."""
+
+    @pytest.fixture(scope="class")
+    def market(self):
+        return new_market(0.01, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
+
+    @pytest.mark.parametrize("alpha", [0.5, -2.0])
+    def test_rows_match_doubling_verified_values(self, market, alpha):
+        quad = QuadratureConfig()
+        strat = build_feedback_strategy(market, alpha, 1.0, quad)
+        assert strat.row_nodes[0] == 0  # s = 0: the maturity closed form
+        assert set(strat.row_nodes[1:].tolist()) <= {8, 16, 32, 64, 128}
+        t_rows = np.maximum(1.0 - strat._s_grid**2, 0.0)[:, None]
+        y = strat._y_grid[::8]
+        direct, _, failed, _ = strategy_mod.evaluate_points(market, alpha, t_rows, 1.0, y, quad)
+        assert not failed.any()
+        # the evaluator's roundoff floor on top of the agreement target
+        atol = 1e-13 * (np.abs(market.gammas).max() / (market.sigma * (1.0 - alpha)) + 1.0)
+        err = np.abs(strat._table[:, ::8] - direct)
+        assert np.all(err <= quad.rel_tol * np.abs(direct) + atol)
+
+    def test_order_varies_by_row(self, toy):
+        strat = build_feedback_strategy(toy, -5.0, 20.0)
+        assert strat.row_nodes[0] == 0
+        assert 64 in strat.row_nodes.tolist()
+        assert len(set(strat.row_nodes[1:].tolist())) > 1
+
+    def test_closed_form_builds_run_no_quadrature(self, toy, monkeypatch):
+        calls = []
+        real = strategy_mod._fk_level
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return real(*args)
+
+        monkeypatch.setattr(strategy_mod, "_fk_level", counted)
+        d1 = new_market(0.0, 1.0, (1.0,), (1.0,))
+        for model, alpha in ((toy, 0.0), (d1, 0.5)):
+            strat = build_feedback_strategy(model, alpha, 1.0)
+            assert strat.row_nodes.tolist() == [0] * strat._s_grid.size
+        assert calls == []
+
+
 class TestOptimalityCheck:
     def test_reference_undominated(self, toy):
         report = optimality_check(
@@ -309,6 +355,13 @@ class TestOptimalityCheck:
         assert {s["scale"] for s in report["strategies"]} == {1.0, 0.5, 2.0}
         assert all(not p["dominates_reference"] for p in report["paired"])
         assert report["clamped_frac"] == 0.0  # toy paths stay inside the y span
+        nodes = report["table_nodes"]
+        assert len(nodes) == simkit._S_POINTS and nodes[0] == 0  # s = 0 is closed form
+        assert all(n >= 8 and n & (n - 1) == 0 for n in nodes[1:])
+
+    def test_log_utility_table_nodes_are_zero(self, toy):
+        report = optimality_check(toy, 0.0, 1.0, [0.5], step=0.01, n_paths=200, seed=5)
+        assert report["table_nodes"] == [0] * simkit._S_POINTS
 
     def test_trivial_perturbation_set(self, toy):
         report = optimality_check(toy, -0.5, 1.0, [1.0], step=0.01, n_paths=2_000, seed=5)

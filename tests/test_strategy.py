@@ -20,7 +20,7 @@ from bayesmerton import (
 )
 import bayesmerton.strategy as strategy_mod
 
-from oracles import naive_ratio_u, random_alpha, random_market
+from oracles import naive_ratio_u, random_alpha, random_market, two_logsumexp_fk
 
 
 @pytest.fixture
@@ -172,6 +172,27 @@ def close_drift_market(rng):
     return new_market(float(rng.uniform(-0.5, 0.5)), sigma, mus * sigma, rng.dirichlet(np.ones(d)))
 
 
+class TestKernelReference:
+    def test_one_exp_pass_matches_two_logsumexp_form(self):
+        """The kernel against its earlier two-log-sum-exp form on random markets."""
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            m = random_market(rng, d_max=8, gamma_cap=10.0)
+            alpha = float(rng.uniform(-20.0, 0.95))
+            T = 10.0 ** rng.uniform(-2.0, 4.0, size=24)
+            # a third of the points sit within 1e-12 to 1e-2 of maturity, relative
+            near = rng.random(24) < 1.0 / 3.0
+            gap = np.where(near, 10.0 ** rng.uniform(-12.0, -2.0, size=24), rng.random(24))
+            t = T * (1.0 - gap)
+            y = rng.normal(0.0, 2.0, size=24) * np.sqrt(T)
+            n = int(rng.choice([8, 16, 64]))
+            got = strategy_mod._fk_level(m, alpha, t, T, y, n, 10.0)
+            ref = two_logsumexp_fk(m, alpha, t, T, y, n, 10.0)
+            assert np.all(np.isfinite(ref))
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=1e-14)
+
+
 class TestGridEvaluator:
     def test_matches_scalar_calls(self, toy, monkeypatch):
         ys = np.array([-3.0, -0.5, 0.0, 1.2, 4.0])
@@ -193,7 +214,7 @@ class TestGridEvaluator:
             t = T * np.where(rng.random(6) < 0.2, 1.0, rng.random(6))
             y = rng.normal(0.0, 1.0, size=6) * np.sqrt(T)
             for quad in quads:
-                u, f, failed = strategy_mod.evaluate_points(m, alpha, t, T, y, quad)
+                u, f, failed, _ = strategy_mod.evaluate_points(m, alpha, t, T, y, quad)
                 for i in range(6):
                     try:
                         sv = optimal_fraction(m, alpha, StrategyQuery(t[i], T[i], y[i]), quad)
@@ -205,6 +226,26 @@ class TestGridEvaluator:
                     assert u[i] == pytest.approx(sv.u_star, rel=1e-13)
                     np.testing.assert_allclose(f[i], sv.f, rtol=1e-13, atol=1e-15)
         assert 0 < n_failed < 12 * 6
+
+    def test_reports_node_counts(self, toy, monkeypatch):
+        t = np.array([0.0, 0.5, 1.0])
+        u, _, _, nodes = strategy_mod.evaluate_points(toy, 0.5, t, 1.0, 0.3, QuadratureConfig(nodes=8))
+        assert nodes[2] == 0  # t = T: the closed form
+        for i in (0, 1):
+            # the reported count is the level whose value came back
+            n = int(nodes[i])
+            assert n >= 16 and n & (n - 1) == 0
+            single = strategy_mod.evaluate_points(
+                toy, 0.5, t[i], 1.0, 0.3, QuadratureConfig(nodes=n), doubling=False
+            )
+            assert single[0] == u[i] and single[3] == n
+        assert strategy_mod.evaluate_points(toy, 0.0, t, 1.0, 0.3)[3].tolist() == [0, 0, 0]
+        monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
+        _, _, failed, capped = strategy_mod.evaluate_points(
+            toy, 0.5, t, 1.0, 0.3, QuadratureConfig(nodes=8, rel_tol=1e-15)
+        )
+        assert failed.tolist() == [True, True, False]
+        assert capped.tolist() == [16, 16, 0]
 
     def test_maturity_and_single_state_paths(self, toy):
         ys = np.array([-1.0, 0.0, 2.0])
@@ -358,14 +399,14 @@ class TestOneClosedForm:
         ts = np.array([0.0, 0.3, 1.0, 1.7, T])
         ys = np.array([-1.5, -0.2, 0.0, 0.4, 2.5])
         t, y = np.meshgrid(ts, ys, indexing="ij")
-        u, f, failed = strategy_mod.evaluate_points(market, 0.0, t, T, y)
+        u, f, failed, _ = strategy_mod.evaluate_points(market, 0.0, t, T, y)
         assert not failed.any()
         np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=1e-14)
         for i, j in np.ndindex(t.shape):
             expected = self.continuum_log_fraction(market, t[i, j], y[i, j])
             assert u[i, j] == pytest.approx(expected, rel=1e-13)
         # horizon-free: a longer horizon gives the same values
-        u_long, _, _ = strategy_mod.evaluate_points(market, 0.0, t, 50.0, y)
+        u_long, _, _, _ = strategy_mod.evaluate_points(market, 0.0, t, 50.0, y)
         np.testing.assert_array_equal(u_long, u)
 
     def test_myopic_is_posterior_mean_merton(self, market):
