@@ -34,25 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    HypothesisViolated,
-    InvalidLambda,
-    SweepResult,
-    default_horizons,
-    export_sweep_csv,
-    horizon_sweep,
-)
+from .asymptotics import SweepResult, default_horizons, export_sweep_csv, horizon_sweep
 from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
-from .model import (
-    EmptySupport,
-    InvalidAlpha,
-    InvalidPrior,
-    MarketModel,
-    NonPositiveSigma,
-    StrategyQuery,
-    UnorderedDrifts,
-    new_market,
-)
+from .model import MarketModel, StrategyQuery, new_market
 from .simkit import CacheProbeFailed, export_report_json, optimality_check
 from .strategy import (
     DegenerateHorizon,
@@ -62,15 +46,6 @@ from .strategy import (
     optimal_fraction,
 )
 
-_CONFIG_ERRORS = (
-    NonPositiveSigma,
-    EmptySupport,
-    UnorderedDrifts,
-    InvalidPrior,
-    InvalidAlpha,
-    InvalidLambda,
-    HypothesisViolated,
-)
 _NUMERICAL_ERRORS = (
     QuadratureNotConverged, StepTooLarge, DegenerateHorizon, CacheProbeFailed, FloatingPointError
 )
@@ -99,6 +74,14 @@ class RunConfig:
     out_dir: Path
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name, {})
     if not isinstance(value, dict):
@@ -124,9 +107,17 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     if "alpha" not in raw:
         raise ConfigError("config is missing alpha")
 
-    def over(name, fallback):
-        value = getattr(overrides, name, None) if overrides is not None else None
-        return fallback if value is None else value
+    def field(name: str, convert, fallback):
+        """``convert`` of the flag override, else of the config value, at ``name``.
+
+        The flag is the last part of ``name``; a failed conversion is a
+        ConfigError that names the field.
+        """
+        flag = getattr(overrides, name.rpartition(".")[2], None)
+        try:
+            return convert(fallback if flag is None else flag)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     query = _section(raw, "query")
     quad_raw = _section(raw, "quadrature")
@@ -134,30 +125,34 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     sim = _section(raw, "sim")
     opt = _section(raw, "optcheck")
 
-    model = new_market(market["r"], market["sigma"], market["mus"], market["prior"])
-    alpha = float(over("alpha", raw["alpha"]))
-    t = float(over("t", query.get("t", 0.0)))
-    T = float(over("T", query.get("T", 1.0)))
-    y = float(over("y", query.get("y", 0.0)))
+    model = new_market(
+        field("market.r", float, market["r"]),
+        field("market.sigma", float, market["sigma"]),
+        field("market.mus", _float_array, market["mus"]),
+        field("market.prior", _float_array, market["prior"]),
+    )
+    alpha = field("alpha", float, raw["alpha"])
+    t = field("query.t", float, query.get("t", 0.0))
+    T = field("query.T", float, query.get("T", 1.0))
+    y = field("query.y", float, query.get("y", 0.0))
+    nodes = field("quadrature.nodes", int, quad_raw.get("nodes", 64))
+    half_width = field("quadrature.half_width", float, quad_raw.get("half_width", 10.0))
+    rel_tol = field("quadrature.rel_tol", float, quad_raw.get("rel_tol", 1e-9))
     try:
-        quad = QuadratureConfig(
-            nodes=int(over("nodes", quad_raw.get("nodes", 64))),
-            half_width=float(over("half_width", quad_raw.get("half_width", 10.0))),
-            rel_tol=float(over("rel_tol", quad_raw.get("rel_tol", 1e-9))),
-        )
+        quad = QuadratureConfig(nodes=nodes, half_width=half_width, rel_tol=rel_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    horizons = tuple(
-        float(h) for h in over("horizons", sweep_raw.get("horizons", default_horizons().tolist()))
+    horizons = field(
+        "sweep.horizons", _floats, sweep_raw.get("horizons", default_horizons().tolist())
     )
-    step = float(over("step", sim.get("step", 1e-3 * T)))
-    n_paths = int(over("n_paths", sim.get("n_paths", 100_000)))
-    seed = int(over("seed", sim.get("seed", 0)))
-    perturbations = tuple(
-        float(c) for c in over("perturbations", opt.get("perturbations", [0.5, 0.8, 1.25, 2.0]))
+    step = field("sim.step", float, sim.get("step", 1e-3 * T))
+    n_paths = field("sim.n_paths", int, sim.get("n_paths", 100_000))
+    seed = field("sim.seed", int, sim.get("seed", 0))
+    perturbations = field(
+        "optcheck.perturbations", _floats, opt.get("perturbations", [0.5, 0.8, 1.25, 2.0])
     )
-    reference_scale = float(over("reference_scale", opt.get("reference_scale", 1.0)))
-    out_dir = Path(over("out_dir", raw.get("out_dir", ".")))
+    reference_scale = field("optcheck.reference_scale", float, opt.get("reference_scale", 1.0))
+    out_dir = field("out_dir", Path, raw.get("out_dir", "."))
 
     if n_paths < 1:
         raise ConfigError(f"sim.n_paths must be >= 1, got {n_paths}")
@@ -415,7 +410,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except _CONFIG_ERRORS + (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
+        # ConfigError and the model's named input errors are ValueErrors, as
+        # are the library's own input checks; other exception types propagate
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

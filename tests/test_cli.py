@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import bayesmerton.cli as cli
 import bayesmerton.simkit as simkit
 from bayesmerton import new_market, posterior
 from bayesmerton.cli import main
@@ -86,6 +87,27 @@ class TestEval:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json"), "eval"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_null_field_exits_2_naming_field(self, tmp_path, out_dir, capsys):
+        for name, extra in (
+            ("sim.n_paths", {"sim": {"n_paths": None}}),
+            ("market.sigma", {"market": dict(TOY_MARKET, sigma=None)}),
+        ):
+            cfg = write_config(tmp_path, out_dir, **extra)
+            assert main(["--config", cfg, "eval"]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert err["message"].startswith(f"{name}: ")
+
+    def test_type_error_in_a_command_propagates(self, tmp_path, out_dir, monkeypatch):
+        # a bug of the wrong type inside a command is not a config error
+        def broken(*args, **kwargs):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(cli, "horizon_sweep", broken)
+        cfg = write_config(tmp_path, out_dir, sweep={"horizons": [1, 2]})
+        with pytest.raises(TypeError, match="planted"):
+            main(["--config", cfg, "sweep"])
 
 
 @pytest.fixture(scope="module")

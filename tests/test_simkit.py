@@ -40,54 +40,77 @@ def toy_strategy():
     return build_feedback_strategy(model, 0.5, 1.0)
 
 
+def general_market():
+    """sigma != 1, r != 0 and d = 4: the market of test_strategy's TestOneClosedForm."""
+    return new_market(0.01, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
+
+
+@pytest.fixture(scope="module")
+def general_strategy():
+    return build_feedback_strategy(general_market(), 0.0, 0.3)
+
+
+@pytest.fixture(params=["toy_strategy", "general_strategy"], ids=["toy", "general"])
+def feedback(request):
+    """A multi-state market's feedback table; ``feedback.model`` is the market."""
+    return request.getfixturevalue(request.param)
+
+
+def exported(record, j):
+    """Path j as written by export_path_csv: columns time, stock, y, wealth, fraction."""
+    buf = io.StringIO()
+    export_path_csv(record, j, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    return np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
 class TestSimulatePaths:
     def test_bond_only_is_exact(self, toy):
-        bundles = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=32, seed=3)
-        for b in bundles:
-            assert b.wealth[-1] == 1.0  # r = 0: X_T = x0 exactly
-            assert np.all(b.wealth > 0)
+        record = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=32, seed=3)
+        assert np.all(record.log_wealth[:, -1] == 0.0)  # r = 0: X_T = x0 exactly
+        for j in range(32):
+            assert np.all(exported(record, j)[:, 3] > 0)
 
     def test_bond_only_with_interest(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        bundles = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=1)
-        for b in bundles:
-            assert b.wealth[-1] == pytest.approx(math.exp(0.03 * 2.0), rel=1e-13)
+        record = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=1)
+        for log_x in record.log_wealth[:, -1]:
+            assert math.exp(log_x) == pytest.approx(math.exp(0.03 * 2.0), rel=1e-13)
 
     def test_constant_merton_matches_gbm_closed_form(self):
         """d=1 with the constant Merton fraction: exact log-space scheme."""
         m = new_market(0.02, 0.8, (0.10,), (1.0,))
         pi = merton_fraction(m, 0.10, 0.5)
-        bundles = simulate_paths(m, lambda t, y: pi, T=2.0, step=1e-3, n_paths=16, seed=11)
-        for b in bundles:
-            w_T = b.y[-1] - m.gammas[0] * b.times[-1]
-            closed = (
-                m.r + (m.mus[0] - m.r) * pi - 0.5 * m.sigma**2 * pi**2
-            ) * b.times[-1] + m.sigma * pi * w_T
-            assert math.log(b.wealth[-1]) == pytest.approx(closed, abs=1e-10)
+        record = simulate_paths(m, lambda t, y: pi, T=2.0, step=1e-3, n_paths=16, seed=11)
+        T = record.times[-1]
+        w_T = record.y[:, -1] - m.gammas[0] * T
+        closed = (m.r + (m.mus[0] - m.r) * pi - 0.5 * m.sigma**2 * pi**2) * T + m.sigma * pi * w_T
+        np.testing.assert_allclose(record.log_wealth[:, -1], closed, rtol=0, atol=1e-10)
 
     def test_bitwise_determinism(self, toy):
         a = simulate_paths(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
         b = simulate_paths(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
-        for x, z in zip(a, b):
-            assert x.theta_index == z.theta_index
-            np.testing.assert_array_equal(x.wealth, z.wealth)
-            np.testing.assert_array_equal(x.stock, z.stock)
-            np.testing.assert_array_equal(x.y, z.y)
+        np.testing.assert_array_equal(a.theta_index, b.theta_index)
+        np.testing.assert_array_equal(a.log_wealth, b.log_wealth)
+        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.fraction, b.fraction)
 
     def test_wealth_and_stock_positive(self, toy, toy_strategy):
-        bundles = simulate_paths(toy, toy_strategy, T=1.0, step=0.005, n_paths=64, seed=5)
-        for b in bundles:
-            assert np.all(b.wealth > 0)
-            assert np.all(b.stock > 0)
-            assert b.y[0] == 0.0
+        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.005, n_paths=64, seed=5)
+        for j in range(64):
+            cols = exported(record, j)
+            assert np.all(cols[:, 3] > 0)
+            assert np.all(cols[:, 1] > 0)
+        assert np.all(record.y[:, 0] == 0.0)
 
-    def test_recorded_log_wealth_equals_terminal_wealth(self, toy, toy_strategy):
-        bundles = simulate_paths(toy, toy_strategy, T=0.3, step=0.01, n_paths=12, seed=9)
+    def test_recorded_log_wealth_equals_terminal_wealth(self, feedback):
+        model = feedback.model
+        record = simulate_paths(model, feedback, T=0.3, step=0.01, n_paths=12, seed=9)
         thetas, log_xt = terminal_wealth(
-            toy, toy_strategy, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9
+            model, feedback, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9
         )
-        np.testing.assert_array_equal([b.theta_index for b in bundles], thetas)
-        np.testing.assert_array_equal([b.wealth[-1] for b in bundles], np.exp(log_xt[0]))
+        np.testing.assert_array_equal(record.theta_index, thetas)
+        np.testing.assert_array_equal(record.log_wealth[:, -1], log_xt[0])
 
     def test_memory_does_not_grow_with_steps(self, toy):
         peaks = []
@@ -105,9 +128,9 @@ class TestSimulatePaths:
 
     def test_step_not_dividing_horizon_ends_at_horizon(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        b = simulate_paths(m, lambda t, y: 0.0, T=1.0, step=0.3, n_paths=1, seed=1)[0]
-        assert b.times[-1] == 1.0
-        assert b.step == 1.0 / 3.0
+        record = simulate_paths(m, lambda t, y: 0.0, T=1.0, step=0.3, n_paths=1, seed=1)
+        assert record.times[-1] == 1.0
+        assert record.times[1] == 1.0 / 3.0
         _, log_xt = terminal_wealth(m, lambda t, y: 0.0, [1.0], T=1.0, step=0.3, n_paths=4, seed=1)
         np.testing.assert_allclose(log_xt, 0.03 * 1.0, rtol=1e-13)
 
@@ -140,62 +163,64 @@ class TestStepperReference:
 
 
 class TestObservationConsistency:
-    def test_y_equals_brownian_plus_drift(self, toy):
-        bundles = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=4, seed=13)
+    def test_y_equals_brownian_plus_drift(self, feedback):
+        model = feedback.model
+        record = simulate_paths(model, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=4, seed=13)
         # one noise stream; step i draws one increment per path, in path order
         rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(1,)))
         dw = np.array([rng.standard_normal(4) for _ in range(100)]) * math.sqrt(0.01)
         w = np.vstack((np.zeros(4), np.cumsum(dw, axis=0)))
-        for b in bundles:
+        for j in range(4):
             np.testing.assert_allclose(
-                b.y, w[:, b.path_index] + toy.gammas[b.theta_index] * b.times, atol=1e-12
+                record.y[j], w[:, j] + model.gammas[record.theta_index[j]] * record.times,
+                atol=1e-12,
             )
 
     def test_posterior_concentrates_on_true_drift(self, toy):
         """At t = 50 / min-gap^2 most paths identify theta (reported check)."""
         horizon = 50.0  # min gamma gap is 1
-        bundles = simulate_paths(toy, lambda t, y: 0.0, T=horizon, step=0.05, n_paths=400, seed=21)
+        record = simulate_paths(toy, lambda t, y: 0.0, T=horizon, step=0.05, n_paths=400, seed=21)
         hits = 0
-        for b in bundles:
-            probs = posterior(toy, horizon, float(b.y[-1])).probs
-            hits += int(np.argmax(probs) == b.theta_index)
-        fraction = hits / len(bundles)
+        for y_T, theta in zip(record.y[:, -1], record.theta_index):
+            probs = posterior(toy, horizon, float(y_T)).probs
+            hits += int(np.argmax(probs) == theta)
+        fraction = hits / record.theta_index.size
         print(f"posterior identification rate at T={horizon}: {fraction:.3f}")
         assert fraction > 0.9
 
 
 class TestEstimateUtility:
     def test_bond_only_deterministic_utility(self, toy):
-        bundles = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=16, seed=2)
+        record = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=16, seed=2)
         for alpha in (0.5, -0.5):
-            est = estimate_utility(bundles, alpha)
+            est = estimate_utility(record, alpha)
             assert est.mean == pytest.approx(1.0 / alpha, rel=1e-14)
             assert est.std_error == 0.0
-        est_log = estimate_utility(bundles, 0.0)
+        est_log = estimate_utility(record, 0.0)
         assert est_log.mean == pytest.approx(0.0, abs=1e-14)
 
     def test_bond_only_with_interest_and_initial_wealth(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        bundles = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=2)
+        record = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=2)
         for alpha in (0.5, -1.5):
-            est = estimate_utility(bundles, alpha, x0=2.0)
+            est = estimate_utility(record, alpha, x0=2.0)
             expected = (2.0 * math.exp(0.03 * 2.0)) ** alpha / alpha
             assert est.mean == pytest.approx(expected, rel=1e-12)
             assert est.std_error == 0.0
 
     def test_negative_alpha_means_negative_utility(self, toy, toy_strategy):
-        bundles = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
-        est = estimate_utility(bundles, -0.5)
+        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
+        est = estimate_utility(record, -0.5)
         assert est.mean < 0.0
 
     def test_initial_wealth_covariance(self, toy, toy_strategy):
         """Power utility scales by x0^alpha, so rankings are x0-free."""
-        bundles = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
-        base = estimate_utility(bundles, 0.5, x0=1.0)
-        scaled = estimate_utility(bundles, 0.5, x0=4.0)
+        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
+        base = estimate_utility(record, 0.5, x0=1.0)
+        scaled = estimate_utility(record, 0.5, x0=4.0)
         assert scaled.mean == pytest.approx(4.0**0.5 * base.mean, rel=1e-12)
-        log_base = estimate_utility(bundles, 0.0, x0=1.0)
-        log_scaled = estimate_utility(bundles, 0.0, x0=4.0)
+        log_base = estimate_utility(record, 0.0, x0=1.0)
+        log_scaled = estimate_utility(record, 0.0, x0=4.0)
         assert log_scaled.mean == pytest.approx(log_base.mean + math.log(4.0), rel=1e-12)
 
     def test_optimal_beats_half_scaled(self, toy, toy_strategy):
@@ -234,23 +259,24 @@ class TestEstimateUtility:
 
     def test_single_bundle_rejected(self, toy):
         # one path gives no standard error; 0.0 would claim an exact estimate
-        bundles = simulate_paths(toy, lambda t, y: 1.0, 1.0, 0.01, 1, 3)
+        record = simulate_paths(toy, lambda t, y: 1.0, 1.0, 0.01, 1, 3)
         with pytest.raises(ValueError, match="2 samples"):
-            estimate_utility(bundles, 0.5)
-        with pytest.raises(ValueError):
-            estimate_utility([], 0.5)
+            estimate_utility(record, 0.5)
 
     def test_utility_overflow_raises(self, toy):
         # log X_T near -260 at 25x leverage: X_T is a double, X_T^-5 is not
-        bundles = simulate_paths(toy, lambda t, y: 25.0, 1.0, 0.01, 50, 3)
+        record = simulate_paths(toy, lambda t, y: 25.0, 1.0, 0.01, 50, 3)
         with pytest.raises(FloatingPointError, match="overflow"):
-            estimate_utility(bundles, -5.0)
+            estimate_utility(record, -5.0)
 
-    def test_mixed_horizons_rejected(self, toy):
-        a = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=2, seed=1)
-        b = simulate_paths(toy, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=2, seed=1)
-        with pytest.raises(ValueError):
-            estimate_utility(a + b, 0.5)
+    def test_log_utility_below_double_range(self, toy):
+        # 60x leverage drives log X_T near -1800: X_T underflows to 0.0, its log does not
+        record = simulate_paths(toy, lambda t, y: 60.0, 1.0, 0.01, 50, 7)
+        _, log_xt = terminal_wealth(toy, lambda t, y: 60.0, [1.0], 1.0, 0.01, 50, 7)
+        assert np.all(np.exp(log_xt[0]) == 0.0)
+        est = estimate_utility(record, 0.0)
+        assert est.mean == np.mean(log_xt[0])
+        assert math.isfinite(est.std_error)
 
 
 class TestCachedStrategy:
@@ -393,14 +419,22 @@ class TestOptimalityCheck:
 
 class TestExports:
     def test_path_csv_schema_and_determinism(self, toy):
-        bundle = simulate_paths(toy, lambda t, y: 0.5, T=0.2, step=0.02, n_paths=1, seed=3)[0]
-        a, b = io.StringIO(), io.StringIO()
-        export_path_csv(bundle, a)
-        export_path_csv(bundle, b)
-        assert a.getvalue() == b.getvalue()
-        lines = a.getvalue().splitlines()
-        assert lines[0] == "time,stock,y,wealth,fraction"
-        assert len(lines) == bundle.times.size + 1
+        for model in (toy, general_market()):
+            record = simulate_paths(model, lambda t, y: 0.5, T=0.2, step=0.02, n_paths=1, seed=3)
+            a, b = io.StringIO(), io.StringIO()
+            export_path_csv(record, 0, a)
+            export_path_csv(record, 0, b)
+            assert a.getvalue() == b.getvalue()
+            lines = a.getvalue().splitlines()
+            assert lines[0] == "time,stock,y,wealth,fraction"
+            assert len(lines) == record.times.size + 1
+            cols = exported(record, 0)
+            np.testing.assert_array_equal(
+                cols[:, [0, 2, 4]].T, [record.times, record.y[0], record.fraction[0]]
+            )
+            log_stock = (model.r - 0.5 * model.sigma**2) * record.times + model.sigma * record.y[0]
+            np.testing.assert_allclose(cols[:, 1], np.exp(log_stock), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(cols[:, 3], np.exp(record.log_wealth[0]), rtol=1e-13, atol=0)
 
     def test_report_json_round_trip(self, toy):
         report = optimality_check(toy, -0.5, 0.5, [0.8], step=0.01, n_paths=1_000, seed=9)
