@@ -25,7 +25,6 @@ Errors are reported on stderr as one JSON object naming the failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import SweepResult, default_horizons, export_sweep_csv, horizon_sweep
+from .csvout import write_columns
 from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
 from .model import MarketModel, StrategyQuery, new_market
 from .simkit import CacheProbeFailed, export_report_json, optimality_check
@@ -75,11 +75,23 @@ class RunConfig:
 
 
 def _floats(values) -> tuple[float, ...]:
+    """A JSON list of numbers; a string or a scalar is rejected, not iterated."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
     return tuple(float(v) for v in values)
 
 
 def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+    return np.asarray(_floats(values))
+
+
+def _integer(value) -> int:
+    """An int or an integral float; bools, strings and fractions are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -135,7 +147,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     t = field("query.t", float, query.get("t", 0.0))
     T = field("query.T", float, query.get("T", 1.0))
     y = field("query.y", float, query.get("y", 0.0))
-    nodes = field("quadrature.nodes", int, quad_raw.get("nodes", 64))
+    nodes = field("quadrature.nodes", _integer, quad_raw.get("nodes", 64))
     half_width = field("quadrature.half_width", float, quad_raw.get("half_width", 10.0))
     rel_tol = field("quadrature.rel_tol", float, quad_raw.get("rel_tol", 1e-9))
     try:
@@ -146,8 +158,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         "sweep.horizons", _floats, sweep_raw.get("horizons", default_horizons().tolist())
     )
     step = field("sim.step", float, sim.get("step", 1e-3 * T))
-    n_paths = field("sim.n_paths", int, sim.get("n_paths", 100_000))
-    seed = field("sim.seed", int, sim.get("seed", 0))
+    n_paths = field("sim.n_paths", _integer, sim.get("n_paths", 100_000))
+    seed = field("sim.seed", _integer, sim.get("seed", 0))
     perturbations = field(
         "optcheck.perturbations", _floats, opt.get("perturbations", [0.5, 0.8, 1.25, 2.0])
     )
@@ -316,18 +328,13 @@ def cmd_filter_demo(config: RunConfig) -> int:
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     with open(config.out_dir / "filter_demo.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+        write_columns(
+            fh,
             ["time", "y"]
             + [f"euler_p_{k + 1}" for k in range(model.d)]
-            + [f"closed_p_{k + 1}" for k in range(model.d)]
+            + [f"closed_p_{k + 1}" for k in range(model.d)],
+            [path.times, path.y, *path.probs.T, *closed.T],
         )
-        for i in range(path.times.size):
-            writer.writerow(
-                [repr(float(path.times[i])), repr(float(path.y[i]))]
-                + [repr(float(v)) for v in path.probs[i]]
-                + [repr(float(v)) for v in closed[i]]
-            )
     print(f"true_drift_index = {true_index}")
     print(f"max_discrepancy  = {discrepancy:.12g}")
     return 0

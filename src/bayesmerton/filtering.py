@@ -20,12 +20,13 @@ pathwise cross-check of the closed form.
 
 from __future__ import annotations
 
-import csv
+from array import array
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
+from .csvout import write_columns
 from .model import MarketModel
 
 
@@ -144,6 +145,11 @@ def simulate_filter_sde(
     is clipped to [1e-12, 1] and renormalized.  The grid ends exactly at
     the horizon; ``FilterPath.step`` is the step simulated.
 
+    The step runs on Python floats, one state at a time.  The posterior
+    mean and the renormalizing total are sequential sums in double
+    precision, so the trajectory does not depend on which BLAS kernel the
+    host dispatches for a dot product.
+
     Returns the posterior trajectory together with the driving ``Y`` path, so
     the closed form :func:`posterior` is evaluable at matching times.
 
@@ -158,36 +164,46 @@ def simulate_filter_sde(
     n_steps = times.size - 1
     step = float(times[1])
     rng = np.random.default_rng(seed)
-    dw = rng.standard_normal(n_steps) * np.sqrt(step)
+    dw = (rng.standard_normal(n_steps) * np.sqrt(step)).tolist()
 
-    d = model.d
-    mus = model.mus
-    sigma = model.sigma
-    gamma_true = model.gammas[true_drift_index]
+    mus = model.mus.tolist()
+    sigma = float(model.sigma)
     mu_true = mus[true_drift_index]
-
-    probs = np.empty((n_steps + 1, d))
-    y = np.empty(n_steps + 1)
-    probs[0] = model.prior
-    y[0] = 0.0
-    p = model.prior.copy()
+    drift = float(model.gammas[true_drift_index]) * step
     lo, hi = _EULER_GUARD
-    for i in range(n_steps):
-        mu_hat = float(p @ mus)
-        dw_hat = dw[i] + (mu_true - mu_hat) / sigma * step
-        p = p + p * (mus - mu_hat) / sigma * dw_hat
-        if p.min() < lo or p.max() > hi:
-            raise StepTooLarge(
-                f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"
-            )
-        np.clip(p, _EULER_FLOOR, 1.0, out=p)
-        p /= p.sum()
-        probs[i + 1] = p
-        y[i + 1] = y[i] + dw[i] + gamma_true * step
+    floor = _EULER_FLOOR
+
+    p = model.prior.tolist()
+    probs = array("d", p)  # rows of d, flat
+    ys = array("d", [0.0])
+    y = 0.0
+    for i, dwi in enumerate(dw):
+        mu_hat = 0.0
+        for pk, mk in zip(p, mus):
+            mu_hat += pk * mk
+        dw_hat = dwi + (mu_true - mu_hat) / sigma * step
+        clipped = []
+        total = 0.0
+        for pk, mk in zip(p, mus):
+            pk = pk + pk * (mk - mu_hat) / sigma * dw_hat
+            if pk < lo or pk > hi:
+                raise StepTooLarge(
+                    f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"
+                )
+            if pk < floor:
+                pk = floor
+            elif pk > 1.0:
+                pk = 1.0
+            clipped.append(pk)
+            total += pk
+        p = [pk / total for pk in clipped]
+        probs.extend(p)
+        y = y + dwi + drift
+        ys.append(y)
     return FilterPath(
         times=times,
-        probs=probs,
-        y=y,
+        probs=np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d),
+        y=np.frombuffer(ys, dtype=float),
         true_drift_index=int(true_drift_index),
         step=step,
         seed=int(seed),
@@ -195,15 +211,16 @@ def simulate_filter_sde(
 
 
 def export_trajectory_csv(model: MarketModel, path: FilterPath, stream: IO[str]) -> None:
-    """Write a trajectory as CSV: time, y, p_1..p_d, posterior_mean."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["time", "y"] + [f"p_{k + 1}" for k in range(model.d)] + ["posterior_mean"]
+    """Write a trajectory as CSV: time, y, p_1..p_d, posterior_mean.
+
+    The posterior mean is summed over the states in order, as the Euler step
+    sums it.
+    """
+    mean = np.zeros(path.times.size)
+    for k, mu in enumerate(model.mus.tolist()):
+        mean += path.probs[:, k] * mu
+    write_columns(
+        stream,
+        ["time", "y"] + [f"p_{k + 1}" for k in range(model.d)] + ["posterior_mean"],
+        [path.times, path.y, *path.probs.T, mean],
     )
-    for i in range(path.times.size):
-        mean = float(path.probs[i] @ model.mus)
-        writer.writerow(
-            [repr(float(path.times[i])), repr(float(path.y[i]))]
-            + [repr(float(v)) for v in path.probs[i]]
-            + [repr(mean)]
-        )

@@ -28,7 +28,6 @@ pairwise summation over full per-path arrays.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
+from .csvout import write_columns
 from .filtering import _time_grid
 from .model import MarketModel, UtilitySpec
 from .strategy import (
@@ -469,10 +469,11 @@ def export_path_csv(record: PathRecord, path_index: int, stream: IO[str]) -> Non
     m, times, y = record.model, record.times, record.y[path_index]
     stock = np.exp((m.r - 0.5 * m.sigma**2) * times + m.sigma * y)
     wealth = np.exp(record.log_wealth[path_index])
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["time", "stock", "y", "wealth", "fraction"])
-    for row in zip(times, stock, y, wealth, record.fraction[path_index]):
-        writer.writerow([repr(float(v)) for v in row])
+    write_columns(
+        stream,
+        ["time", "stock", "y", "wealth", "fraction"],
+        [times, stock, y, wealth, record.fraction[path_index]],
+    )
 
 
 def export_report_json(report: dict, stream: IO[str]) -> None:

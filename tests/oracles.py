@@ -11,7 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from bayesmerton import MarketModel, new_market
+from bayesmerton import MarketModel, StepTooLarge, new_market
+from bayesmerton.filtering import _EULER_FLOOR, _EULER_GUARD, _time_grid
 
 
 @lru_cache(maxsize=4)
@@ -89,6 +90,47 @@ def two_logsumexp_fk(
     node = log_w + log_mix / om
     joint += (node - log_mix)[..., None]
     return np.exp(_logsumexp(joint, axis=1) - _logsumexp(node)[:, None])
+
+
+def numpy_filter_sde(
+    model: MarketModel, true_drift_index: int, horizon: float, step: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler scheme for the posterior SDE as whole-vector numpy steps; (probs, y).
+
+    The loop is the earlier vectorized one, written out unchanged: the
+    posterior mean is ``p @ mus``, which numpy hands to the BLAS dot kernel.
+    """
+    times = _time_grid(horizon, step)
+    n_steps = times.size - 1
+    step = float(times[1])
+    rng = np.random.default_rng(seed)
+    dw = rng.standard_normal(n_steps) * np.sqrt(step)
+
+    d = model.d
+    mus = model.mus
+    sigma = model.sigma
+    gamma_true = model.gammas[true_drift_index]
+    mu_true = mus[true_drift_index]
+
+    probs = np.empty((n_steps + 1, d))
+    y = np.empty(n_steps + 1)
+    probs[0] = model.prior
+    y[0] = 0.0
+    p = model.prior.copy()
+    lo, hi = _EULER_GUARD
+    for i in range(n_steps):
+        mu_hat = float(p @ mus)
+        dw_hat = dw[i] + (mu_true - mu_hat) / sigma * step
+        p = p + p * (mus - mu_hat) / sigma * dw_hat
+        if p.min() < lo or p.max() > hi:
+            raise StepTooLarge(
+                f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"
+            )
+        np.clip(p, _EULER_FLOOR, 1.0, out=p)
+        p /= p.sum()
+        probs[i + 1] = p
+        y[i + 1] = y[i] + dw[i] + gamma_true * step
+    return probs, y
 
 
 def random_market(

@@ -15,8 +15,8 @@ from bayesmerton import (
     merton_fraction,
     new_market,
     optimal_fraction,
-    posterior,
     posterior_mean,
+    posterior_weights,
     simulate_filter_sde,
 )
 from bayesmerton.asymptotics import (
@@ -172,11 +172,9 @@ def test_criterion_09_filter_agreement():
     with _report(9, "Euler filter error shrinks >= 1.5x when the step is quartered"):
         def max_err(step: float, seed: int) -> float:
             path = simulate_filter_sde(TOY, 2, 5.0, step, seed=seed)
-            worst = 0.0
-            for i in range(path.times.size):
-                closed = posterior(TOY, float(path.times[i]), float(path.y[i])).probs
-                worst = max(worst, float(np.max(np.abs(path.probs[i] - closed))))
-            return worst
+            closed = posterior_weights(TOY, path.times, path.y)
+            closed[0] = TOY.prior  # posterior() pins t = 0 to the prior
+            return float(np.max(np.abs(path.probs - closed)))
 
         seeds = range(20)
         coarse = float(np.mean([max_err(2e-3, s) for s in seeds]))

@@ -99,6 +99,34 @@ class TestEval:
             assert err["error"] == "ConfigError"
             assert err["message"].startswith(f"{name}: ")
 
+    @pytest.mark.parametrize("name, extra", [
+        ("sim.n_paths", {"sim": {"n_paths": 2.7}}),
+        ("sim.seed", {"sim": {"seed": 1.9}}),
+        ("sim.seed", {"sim": {"seed": True}}),
+        ("sim.seed", {"sim": {"seed": "7"}}),
+        ("quadrature.nodes", {"quadrature": {"nodes": 64.5}}),
+        ("sweep.horizons", {"sweep": {"horizons": "124"}}),
+        ("sweep.horizons", {"sweep": {"horizons": 4.0}}),
+        ("optcheck.perturbations", {"optcheck": {"perturbations": "0.5"}}),
+        ("market.mus", {"market": dict(TOY_MARKET, mus="123")}),
+        ("market.prior", {"market": dict(TOY_MARKET, prior=1.0)}),
+    ])
+    def test_mistyped_field_exits_2_naming_field(self, tmp_path, out_dir, capsys, name, extra):
+        # no truncation of fractional counts, no iteration over a string's characters
+        cfg = write_config(tmp_path, out_dir, **extra)
+        assert main(["--config", cfg, "eval"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{name}: ")
+
+    def test_integral_float_counts_load(self, tmp_path, out_dir):
+        cfg = write_config(
+            tmp_path, out_dir, sim={"n_paths": 20.0, "seed": 3.0}, quadrature={"nodes": 32.0}
+        )
+        config = cli.load_config(cfg)
+        assert (config.n_paths, config.seed, config.quad.nodes) == (20, 3, 32)
+        assert type(config.seed) is int
+
     def test_type_error_in_a_command_propagates(self, tmp_path, out_dir, monkeypatch):
         # a bug of the wrong type inside a command is not a config error
         def broken(*args, **kwargs):

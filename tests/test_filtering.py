@@ -1,3 +1,4 @@
+import csv
 import io
 
 import mpmath as mp
@@ -13,7 +14,10 @@ from bayesmerton import (
     posterior_weights,
     simulate_filter_sde,
 )
+from bayesmerton.csvout import CHUNK_ROWS, write_columns
 from bayesmerton.filtering import export_trajectory_csv
+
+from oracles import numpy_filter_sde
 
 
 @pytest.fixture
@@ -155,17 +159,19 @@ class TestFilterSde:
             np.testing.assert_allclose(path.y, w + toy.gammas[2] * path.times, rtol=0, atol=1e-12)
 
     def test_rows_stay_on_simplex(self, toy):
-        path = simulate_filter_sde(toy, 0, 5.0, 1e-3, seed=3)
-        assert np.all(path.probs > 0)
-        np.testing.assert_allclose(path.probs.sum(axis=1), 1.0, atol=1e-12)
+        # on the sigma = 0.2 market the losing state sits on the clip floor
+        wild = new_market(0.0, 0.2, (-5.0, 5.0), (0.5, 0.5))
+        for model, horizon in ((toy, 5.0), (wild, 1.0)):
+            path = simulate_filter_sde(model, 0, horizon, 1e-3, seed=3)
+            assert np.all(path.probs > 0)
+            np.testing.assert_allclose(path.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_error_shrinks_as_step_refines(self, toy):
         """Euler error vs the closed form drops by >= 1.5x for a 4x finer step."""
         def max_err(step, seed):
             path = simulate_filter_sde(toy, 2, 2.0, step, seed=seed)
-            closed = np.stack(
-                [posterior(toy, float(t), float(yv)).probs for t, yv in zip(path.times, path.y)]
-            )
+            closed = posterior_weights(toy, path.times, path.y)
+            closed[0] = toy.prior  # posterior() pins t = 0 to the prior
             return np.max(np.abs(path.probs - closed))
 
         seeds = range(6)
@@ -183,6 +189,79 @@ class TestFilterSde:
             simulate_filter_sde(toy, 3, 1.0, 0.01, seed=0)
 
 
+class TestEulerAgainstNumpyLoop:
+    """The scalar Euler loop against the whole-vector numpy loop it replaced.
+
+    The two differ only in how the posterior mean is summed: in order here,
+    by the BLAS dot kernel there, which may fuse multiply and add.
+    """
+
+    MARKETS = (
+        new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4)),
+        new_market(0.01, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4)),
+    )
+
+    @pytest.mark.parametrize("model", MARKETS, ids=["toy", "sigma03_d4"])
+    def test_probs_and_y_agree(self, model):
+        for seed in (0, 5, 31):
+            for index in range(model.d):
+                path = simulate_filter_sde(model, index, 1.0, 1e-3, seed=seed)
+                probs, y = numpy_filter_sde(model, index, 1.0, 1e-3, seed=seed)
+                np.testing.assert_array_equal(path.y, y)
+                np.testing.assert_allclose(path.probs, probs, rtol=0, atol=1e-12)
+
+    def test_same_step_too_large(self):
+        m = new_market(0.0, 0.2, (-5.0, 5.0), (0.5, 0.5))
+        with pytest.raises(StepTooLarge) as ours:
+            simulate_filter_sde(m, 1, horizon=2.0, step=0.5, seed=0)
+        with pytest.raises(StepTooLarge) as theirs:
+            numpy_filter_sde(m, 1, horizon=2.0, step=0.5, seed=0)
+        assert str(ours.value) == str(theirs.value)
+        assert "at step " in str(ours.value)
+
+
+class TestWriteColumns:
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, 2.0, -7.0, float("inf"), float("-inf")]
+
+    def test_bytes_match_csv_writer_of_reprs(self):
+        n_rows = 2 * CHUNK_ROWS + 37  # crosses two chunk boundaries
+        rng = np.random.default_rng(8)
+        columns = [
+            np.resize(self.SPECIAL, n_rows),
+            np.resize(self.SPECIAL[::-1], n_rows),
+            rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+            np.arange(n_rows, dtype=float),
+        ]
+        header = ["a", "b", "c", "d"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+        got = io.StringIO()
+        write_columns(got, header, columns)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_one_write_per_chunk(self):
+        n_rows = 2 * CHUNK_ROWS + 1
+
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stream = Counting()
+        write_columns(stream, ["x"], [np.zeros(n_rows)])
+        assert stream.writes == 1 + 3  # header, then three chunks
+        assert stream.getvalue().count("\n") == n_rows + 1
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            write_columns(io.StringIO(), ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
 class TestTrajectoryExport:
     def test_columns_and_determinism(self, toy):
         path = simulate_filter_sde(toy, 1, 0.5, 0.01, seed=21)
@@ -193,3 +272,16 @@ class TestTrajectoryExport:
         header = buf_a.getvalue().splitlines()[0]
         assert header == "time,y,p_1,p_2,p_3,posterior_mean"
         assert len(buf_a.getvalue().splitlines()) == path.times.size + 1
+
+    def test_cells_are_reprs_of_the_path(self, toy):
+        path = simulate_filter_sde(toy, 2, 0.5, 0.01, seed=4)
+        buf = io.StringIO()
+        export_trajectory_csv(toy, path, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        for i, row in enumerate(rows):
+            probs = path.probs[i].tolist()
+            mean = 0.0
+            for p, mu in zip(probs, toy.mus.tolist()):
+                mean += p * mu  # summed in state order
+            expected = [path.times[i], path.y[i], *probs, mean]
+            assert row == [repr(float(v)) for v in expected]
