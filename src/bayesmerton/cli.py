@@ -1,11 +1,14 @@
 """Command-line interface: evaluation, horizon sweeps, filter demo, optimality check.
 
-One JSON config file carries the market and all run settings; a handful of
-flags override individual values (flag > file > documented default).  Every
+One JSON config file carries the market and all run settings; flags
+override individual values (flag > file > documented default).  Every
 command is a pure function of the resolved config, so repeated runs write
 byte-identical CSV/JSON/SVG outputs.
 
-Config schema (all keys except "market" and "alpha" optional)::
+The table ``_FIELDS`` is the schema: every field's dotted name, converter
+and default, and from it every flag.  Numbers must be finite JSON numbers;
+bools, strings, NaN and infinities are ConfigErrors naming the field.  All
+keys except "market" and "alpha" are optional; with the defaults::
 
     {
       "market": {"r": 0.0, "sigma": 1.0, "mus": [1, 2, 3], "prior": [0.3, 0.3, 0.4]},
@@ -13,7 +16,7 @@ Config schema (all keys except "market" and "alpha" optional)::
       "query": {"t": 0.0, "T": 1.0, "y": 0.0},
       "quadrature": {"nodes": 64, "rel_tol": 1e-9, "half_width": 10.0},
       "sweep": {"horizons": [1, 2, 4, ..., 1024]},
-      "sim": {"step": 0.001, "n_paths": 100000, "seed": 0},
+      "sim": {"step": 0.001 * T, "n_paths": 100000, "seed": 0},
       "optcheck": {"perturbations": [0.5, 0.8, 1.25, 2.0], "reference_scale": 1.0},
       "out_dir": "."
     }
@@ -38,17 +41,9 @@ from .csvout import write_columns
 from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
 from .model import MarketModel, StrategyQuery, new_market
 from .simkit import CacheProbeFailed, export_report_json, optimality_check
-from .strategy import (
-    DegenerateHorizon,
-    QuadratureConfig,
-    QuadratureNotConverged,
-    evaluate_points,
-    optimal_fraction,
-)
+from .strategy import QuadratureConfig, QuadratureNotConverged, evaluate_points, optimal_fraction
 
-_NUMERICAL_ERRORS = (
-    QuadratureNotConverged, StepTooLarge, DegenerateHorizon, CacheProbeFailed, FloatingPointError
-)
+_NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, CacheProbeFailed, FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -74,35 +69,71 @@ class RunConfig:
     out_dir: Path
 
 
-def _floats(values) -> tuple[float, ...]:
-    """A JSON list of numbers; a string or a scalar is rejected, not iterated."""
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"expected a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+def _number(value) -> int | float:
+    """A finite int or float, as given; bools, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
-def _float_array(values) -> np.ndarray:
-    return np.asarray(_floats(values))
+def _real(value) -> float:
+    return float(_number(value))
 
 
 def _integer(value) -> int:
-    """An int or an integral float; bools, strings and fractions are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
+    """An int or an integral float; fractions are rejected, not truncated."""
+    value = _number(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return value
+def _numbers(values) -> tuple[float, ...]:
+    """A list of numbers; a string or a scalar is rejected, not iterated."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(_real(v) for v in values)
+
+
+#: Default of a field the config must set.
+_REQUIRED = object()
+#: Default of sim.step: 1e-3 of the resolved horizon query.T.
+_STEP_OF_T = object()
+
+#: Every config field: dotted name, converter, default.  The last part of the
+#: name is the flag's dest and the RunConfig field (or market/quadrature
+#: argument); every field outside "market" has a flag.
+_FIELDS = (
+    ("market.r", _real, _REQUIRED),
+    ("market.sigma", _real, _REQUIRED),
+    ("market.mus", _numbers, _REQUIRED),
+    ("market.prior", _numbers, _REQUIRED),
+    ("alpha", _real, _REQUIRED),
+    ("query.t", _real, 0.0),
+    ("query.T", _real, 1.0),
+    ("query.y", _real, 0.0),
+    ("quadrature.nodes", _integer, 64),
+    ("quadrature.rel_tol", _real, 1e-9),
+    ("quadrature.half_width", _real, 10.0),
+    ("sweep.horizons", _numbers, tuple(default_horizons().tolist())),
+    ("sim.step", _real, _STEP_OF_T),
+    ("sim.n_paths", _integer, 100_000),
+    ("sim.seed", _integer, 0),
+    ("optcheck.perturbations", _numbers, (0.5, 0.8, 1.25, 2.0)),
+    ("optcheck.reference_scale", _real, 1.0),
+    ("out_dir", Path, "."),
+)
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Read the JSON config, apply flag overrides, and resolve all defaults."""
+    """Read the JSON config, apply flag overrides, and resolve all defaults.
+
+    Each field of _FIELDS takes its flag, else its config value, else its
+    default, and its converter checks whichever wins; a failed conversion
+    is a ConfigError that names the field.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -112,77 +143,34 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    market = _section(raw, "market")
-    for key in ("r", "sigma", "mus", "prior"):
-        if key not in market:
-            raise ConfigError(f"config is missing market.{key}")
-    if "alpha" not in raw:
-        raise ConfigError("config is missing alpha")
-
-    def field(name: str, convert, fallback):
-        """``convert`` of the flag override, else of the config value, at ``name``.
-
-        The flag is the last part of ``name``; a failed conversion is a
-        ConfigError that names the field.
-        """
-        flag = getattr(overrides, name.rpartition(".")[2], None)
+    v = {}  # keyed by the last part of the field name
+    for name, convert, default in _FIELDS:
+        section, _, key = name.rpartition(".")
+        node = raw.get(section, {}) if section else raw
+        if not isinstance(node, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        value = getattr(overrides, key, None)
+        if value is None:
+            value = node.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"config is missing {name}")
+        if value is _STEP_OF_T:
+            value = 1e-3 * v["T"]
         try:
-            return convert(fallback if flag is None else flag)
-        except (TypeError, ValueError) as exc:
+            v[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 
-    query = _section(raw, "query")
-    quad_raw = _section(raw, "quadrature")
-    sweep_raw = _section(raw, "sweep")
-    sim = _section(raw, "sim")
-    opt = _section(raw, "optcheck")
-
-    model = new_market(
-        field("market.r", float, market["r"]),
-        field("market.sigma", float, market["sigma"]),
-        field("market.mus", _float_array, market["mus"]),
-        field("market.prior", _float_array, market["prior"]),
-    )
-    alpha = field("alpha", float, raw["alpha"])
-    t = field("query.t", float, query.get("t", 0.0))
-    T = field("query.T", float, query.get("T", 1.0))
-    y = field("query.y", float, query.get("y", 0.0))
-    nodes = field("quadrature.nodes", _integer, quad_raw.get("nodes", 64))
-    half_width = field("quadrature.half_width", float, quad_raw.get("half_width", 10.0))
-    rel_tol = field("quadrature.rel_tol", float, quad_raw.get("rel_tol", 1e-9))
+    model = new_market(v.pop("r"), v.pop("sigma"), v.pop("mus"), v.pop("prior"))
     try:
-        quad = QuadratureConfig(nodes=nodes, half_width=half_width, rel_tol=rel_tol)
+        quad = QuadratureConfig(
+            nodes=v.pop("nodes"), rel_tol=v.pop("rel_tol"), half_width=v.pop("half_width")
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    horizons = field(
-        "sweep.horizons", _floats, sweep_raw.get("horizons", default_horizons().tolist())
-    )
-    step = field("sim.step", float, sim.get("step", 1e-3 * T))
-    n_paths = field("sim.n_paths", _integer, sim.get("n_paths", 100_000))
-    seed = field("sim.seed", _integer, sim.get("seed", 0))
-    perturbations = field(
-        "optcheck.perturbations", _floats, opt.get("perturbations", [0.5, 0.8, 1.25, 2.0])
-    )
-    reference_scale = field("optcheck.reference_scale", float, opt.get("reference_scale", 1.0))
-    out_dir = field("out_dir", Path, raw.get("out_dir", "."))
-
-    if n_paths < 1:
-        raise ConfigError(f"sim.n_paths must be >= 1, got {n_paths}")
-    return RunConfig(
-        model=model,
-        alpha=alpha,
-        t=t,
-        T=T,
-        y=y,
-        quad=quad,
-        horizons=horizons,
-        step=step,
-        n_paths=n_paths,
-        seed=seed,
-        perturbations=perturbations,
-        reference_scale=reference_scale,
-        out_dir=out_dir,
-    )
+    if v["n_paths"] < 1:
+        raise ConfigError(f"sim.n_paths must be >= 1, got {v['n_paths']}")
+    return RunConfig(model=model, quad=quad, **v)
 
 
 def _sim_step(config: RunConfig) -> float:
@@ -298,11 +286,7 @@ def cmd_sweep(config: RunConfig) -> int:
         config.model, config.alpha, config.t, config.y, config.horizons, config.quad
     )
     if bool(result.failed.all()):
-        print(
-            json.dumps({"error": "QuadratureNotConverged", "message": "every horizon failed"}),
-            file=sys.stderr,
-        )
-        return 3
+        raise QuadratureNotConverged("every horizon failed")
     config.out_dir.mkdir(parents=True, exist_ok=True)
     with open(config.out_dir / "sweep.csv", "w", newline="") as fh:
         export_sweep_csv(result, fh)
@@ -360,37 +344,31 @@ def cmd_optcheck(config: RunConfig) -> int:
     return 0 if report["undominated"] else 4
 
 
+#: How a flag's text is parsed before its field's converter checks it.
+_FLAG_TYPES = {
+    _real: float,
+    _integer: int,
+    _numbers: lambda text: [float(v) for v in text.split(",")],
+    Path: str,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One --flag per _FIELDS entry outside "market", named after its last part."""
     parser = argparse.ArgumentParser(
         prog="bayesmerton",
         description="Optimal stock fraction for a Bayesian power-utility investor",
     )
     parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--alpha", type=float, help="override utility coefficient")
-    parser.add_argument("--t", type=float, help="override query time t")
-    parser.add_argument("--T", type=float, help="override horizon T")
-    parser.add_argument("--y", type=float, help="override observation y")
-    parser.add_argument("--nodes", type=int, help="override quadrature nodes")
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, help="override quadrature rel_tol")
-    parser.add_argument(
-        "--half-width", dest="half_width", type=float, help="override quadrature half_width"
-    )
-    parser.add_argument(
-        "--horizons", type=lambda s: [float(v) for v in s.split(",")],
-        help="override sweep horizons (comma-separated)",
-    )
-    parser.add_argument("--step", type=float, help="override simulation step")
-    parser.add_argument("--n-paths", dest="n_paths", type=int, help="override path count")
-    parser.add_argument("--seed", type=int, help="override RNG seed")
-    parser.add_argument(
-        "--perturbations", type=lambda s: [float(v) for v in s.split(",")],
-        help="override optcheck perturbations (comma-separated)",
-    )
-    parser.add_argument(
-        "--reference-scale", dest="reference_scale", type=float,
-        help="override optcheck reference scale",
-    )
-    parser.add_argument("--out-dir", dest="out_dir", help="override output directory")
+    for name, convert, _ in _FIELDS:
+        section, _, dest = name.rpartition(".")
+        if section != "market":
+            parser.add_argument(
+                "--" + dest.replace("_", "-"),
+                dest=dest,
+                type=_FLAG_TYPES[convert],
+                help=f"override {name}" + (" (comma-separated)" if convert is _numbers else ""),
+            )
     parser.add_argument(
         "command", choices=["eval", "sweep", "filter-demo", "optcheck"],
         help="what to run",
@@ -411,20 +389,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, overrides=args)
         return _COMMANDS[args.command](config)
-    except _NUMERICAL_ERRORS as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 3
-    except ValueError as exc:
+    except (*_NUMERICAL_ERRORS, ValueError) as exc:
         # ConfigError and the model's named input errors are ValueErrors, as
         # are the library's own input checks; other exception types propagate
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -135,7 +135,13 @@ def _power_check(alpha: float) -> None:
 
 
 def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each."""
+    """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each.
+
+    The weights are the filter posterior at the effective time
+    tau = (t - alpha T) / (1 - alpha), which tends to -inf as T grows for
+    alpha in (0, 1), putting the weight on the best drift (the optimist), and
+    to +inf for alpha < 0, putting it on the worst drift (the pessimist).
+    """
     one_minus = 1.0 - alpha
     gam = model.gammas
     t_col = np.asarray(t, dtype=float)[..., None]

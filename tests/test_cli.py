@@ -1,13 +1,19 @@
 import csv
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import bayesmerton.cli as cli
 import bayesmerton.simkit as simkit
+import bayesmerton.strategy as strategy
 from bayesmerton import new_market, posterior
 from bayesmerton.cli import main
 
@@ -91,6 +97,7 @@ class TestEval:
     def test_null_field_exits_2_naming_field(self, tmp_path, out_dir, capsys):
         for name, extra in (
             ("sim.n_paths", {"sim": {"n_paths": None}}),
+            ("sim.step", {"sim": {"step": None}}),  # null is not the 1e-3 T default
             ("market.sigma", {"market": dict(TOY_MARKET, sigma=None)}),
         ):
             cfg = write_config(tmp_path, out_dir, **extra)
@@ -110,6 +117,7 @@ class TestEval:
         ("optcheck.perturbations", {"optcheck": {"perturbations": "0.5"}}),
         ("market.mus", {"market": dict(TOY_MARKET, mus="123")}),
         ("market.prior", {"market": dict(TOY_MARKET, prior=1.0)}),
+        ("alpha", {"alpha": 10**400}),  # too large for a float
     ])
     def test_mistyped_field_exits_2_naming_field(self, tmp_path, out_dir, capsys, name, extra):
         # no truncation of fractional counts, no iteration over a string's characters
@@ -136,6 +144,158 @@ class TestEval:
         cfg = write_config(tmp_path, out_dir, sweep={"horizons": [1, 2]})
         with pytest.raises(TypeError, match="planted"):
             main(["--config", cfg, "sweep"])
+
+
+#: Every numeric field, scalar or list, with a valid value; a list field is
+#: spoiled in its middle element.
+NUMERIC_FIELDS = {
+    "market.r": 0.0,
+    "market.sigma": 1.0,
+    "market.mus": [1.0, 2.0, 3.0],
+    "market.prior": [0.3, 0.3, 0.4],
+    "alpha": 0.5,
+    "query.t": 0.0,
+    "query.T": 1.0,
+    "query.y": 0.0,
+    "quadrature.nodes": 64,
+    "quadrature.rel_tol": 1e-9,
+    "quadrature.half_width": 10.0,
+    "sweep.horizons": [1.0, 2.0, 4.0],
+    "sim.step": 1e-3,
+    "sim.n_paths": 10,
+    "sim.seed": 0,
+    "optcheck.perturbations": [0.5, 2.0],
+    "optcheck.reference_scale": 1.0,
+}
+
+
+def config_with(tmp_path, out_dir, name, value):
+    """The toy config with the dotted field ``name`` set to ``value``."""
+    config = {"market": dict(TOY_MARKET), "alpha": 0.5, "out_dir": str(out_dir)}
+    section, _, key = name.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
+    return str(path)
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf],
+                             ids=["true", "string", "NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", list(NUMERIC_FIELDS))
+    def test_non_number_exits_2_naming_field(self, tmp_path, out_dir, capsys, name, bad):
+        value = NUMERIC_FIELDS[name]
+        if isinstance(value, list):
+            value = value[:1] + [bad] + value[2:]
+        else:
+            value = bad
+        cfg = config_with(tmp_path, out_dir, name, value)
+        assert main(["--config", cfg, "eval"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{name}: ")
+
+    @pytest.mark.parametrize("flag, text, name", [
+        ("--step", "inf", "sim.step"),
+        ("--alpha", "nan", "alpha"),
+        ("--horizons", "1,nan", "sweep.horizons"),
+    ])
+    def test_non_finite_flag_exits_2_naming_field(self, tmp_path, out_dir, capsys, flag, text, name):
+        cfg = write_config(tmp_path, out_dir)
+        assert main(["--config", cfg, flag, text, "filter-demo"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{name}: ")
+
+    def test_infinite_step_filter_demo_exits_2(self, tmp_path, out_dir, capsys):
+        # one step of length T would otherwise run and exit 0
+        cfg = config_with(tmp_path, out_dir, "sim.step", math.inf)
+        assert main(["--config", cfg, "filter-demo"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("sim.step: ")
+        assert not (out_dir / "filter_demo.csv").exists()
+
+    def test_default_step_follows_flag_horizon(self, tmp_path, out_dir):
+        cfg = write_config(tmp_path, out_dir, query={"T": 2.0})
+        args = cli.build_parser().parse_args(["--config", cfg, "--T", "4", "eval"])
+        assert cli.load_config(cfg, overrides=args).step == 1e-3 * 4.0
+
+
+#: Each flag: its text, the RunConfig value it reaches, and the reader of it.
+FLAGS = {
+    "--alpha": ("-0.5", -0.5, lambda c: c.alpha),
+    "--t": ("0.25", 0.25, lambda c: c.t),
+    "--T": ("3", 3.0, lambda c: c.T),
+    "--y": ("-1.5", -1.5, lambda c: c.y),
+    "--nodes": ("16", 16, lambda c: c.quad.nodes),
+    "--rel-tol": ("1e-7", 1e-7, lambda c: c.quad.rel_tol),
+    "--half-width": ("8", 8.0, lambda c: c.quad.half_width),
+    "--horizons": ("3,5", (3.0, 5.0), lambda c: c.horizons),
+    "--step": ("0.002", 0.002, lambda c: c.step),
+    "--n-paths": ("7", 7, lambda c: c.n_paths),
+    "--seed": ("11", 11, lambda c: c.seed),
+    "--perturbations": ("0.9,1.1", (0.9, 1.1), lambda c: c.perturbations),
+    "--reference-scale": ("1.5", 1.5, lambda c: c.reference_scale),
+    "--out-dir": ("elsewhere", Path("elsewhere"), lambda c: c.out_dir),
+}
+
+#: A file value for every flag's field, each different from its flag's value.
+FILE_VALUES = {
+    "query": {"t": 0.1, "T": 2.0, "y": 0.3},
+    "quadrature": {"nodes": 32, "rel_tol": 1e-8, "half_width": 9.0},
+    "sweep": {"horizons": [1, 2]},
+    "sim": {"step": 0.01, "n_paths": 10, "seed": 4},
+    "optcheck": {"perturbations": [0.5], "reference_scale": 1.0},
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_flag_overrides_only_its_field(self, tmp_path, out_dir, flag):
+        cfg = write_config(tmp_path, out_dir, **FILE_VALUES)
+        base = cli.load_config(cfg)
+        text, expected, _ = FLAGS[flag]
+        args = cli.build_parser().parse_args(["--config", cfg, flag, text, "eval"])
+        config = cli.load_config(cfg, overrides=args)
+        for other, (_, _, read) in FLAGS.items():
+            if other == flag:
+                assert read(config) == expected != read(base)
+            else:
+                assert read(config) == read(base)
+
+    def test_help_lists_exactly_the_non_market_fields(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", *FLAGS}
+        fields = {name for name, _, _ in cli._FIELDS if not name.startswith("market.")}
+        assert {"--" + name.rpartition(".")[2].replace("_", "-") for name in fields} == set(FLAGS)
+
+
+def run_module(*args):
+    """``python -m bayesmerton.cli`` in a fresh interpreter, on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "bayesmerton.cli", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+
+
+class TestEntryPoint:
+    def test_malformed_prior_exits_2(self, tmp_path, out_dir):
+        cfg = write_config(tmp_path, out_dir, market=dict(TOY_MARKET, prior=[0.9, 0.4, 0.1]))
+        proc = run_module("--config", cfg, "eval")
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "InvalidPrior"
+
+    def test_eval_exits_0(self, tmp_path, out_dir):
+        cfg = write_config(tmp_path, out_dir, query={"t": 0.0, "T": 1.0, "y": 0.0})
+        proc = run_module("--config", cfg, "eval")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("u_star  = ")
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +359,18 @@ class TestSweep:
         assert main(["--config", cfg, "sweep"]) == 0
         second = (out_dir / "sweep.csv").read_bytes(), (out_dir / "sweep.svg").read_bytes()
         assert first == second
+
+    def test_every_horizon_failed_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
+        monkeypatch.setattr(strategy, "NODE_CAP", 16)
+        cfg = write_config(
+            tmp_path, out_dir,
+            quadrature={"nodes": 8, "rel_tol": 1e-15}, sweep={"horizons": [1, 2, 4]},
+        )
+        assert main(["--config", cfg, "sweep"]) == 3
+        assert capsys.readouterr().err == (
+            '{"error": "QuadratureNotConverged", "message": "every horizon failed"}\n'
+        )
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_single_state_flat_line(self, tmp_path, out_dir):
         cfg = tmp_path / "d1.json"

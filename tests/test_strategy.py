@@ -16,6 +16,7 @@ from bayesmerton import (
     optimal_fraction_grid,
     posterior,
     posterior_mean,
+    posterior_weights,
     stable_integrand_weights,
 )
 import bayesmerton.strategy as strategy_mod
@@ -59,6 +60,19 @@ class TestStableIntegrandWeights:
     def test_optimist_weight_concentrates_on_best_state(self, toy):
         mix = stable_integrand_weights(toy, 0.5, 0.0, 1e4, 0.0)
         assert np.exp(mix.log_weights)[-1] > 1.0 - 1e-10
+
+    def test_weights_are_posterior_at_effective_time(self):
+        """exp(log-weights) is the filter posterior at tau = (t - alpha T) / (1 - alpha)."""
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            m = random_market(rng, d_max=6)  # sigma in (0.3, 2), never exactly 1
+            alpha = random_alpha(rng, -10.0, 0.95)
+            T = float(rng.uniform(0.0, 100.0))
+            t = float(rng.uniform(0.0, T))
+            y = float(rng.normal(0.0, 1.0 + np.sqrt(T)))
+            weights = np.exp(stable_integrand_weights(m, alpha, t, T, y).log_weights)
+            tau = (t - alpha * T) / (1.0 - alpha)
+            np.testing.assert_allclose(weights, posterior_weights(m, tau, y), rtol=0, atol=1e-13)
 
     def test_degenerate_horizon(self, toy):
         with pytest.raises(DegenerateHorizon):
