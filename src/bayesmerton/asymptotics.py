@@ -19,7 +19,7 @@ import numpy as np
 
 from .filtering import log_normalizer, logsumexp
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
-from .strategy import QuadratureConfig, evaluate_points, stable_integrand_weights
+from .strategy import QuadratureConfig, _stabilized, evaluate_points
 
 
 class HypothesisViolated(ValueError):
@@ -136,8 +136,7 @@ def _pessimist_log_factors(
     one_minus = 1.0 - alpha
     g1 = float(model.gammas[0])
 
-    mix = stable_integrand_weights(model, alpha, t, T, y)
-    log_factor1 = float(mix.log_weights[0]) / one_minus
+    log_factor1 = float(_stabilized(model, alpha, t, T, y)[0][0]) / one_minus
 
     y_tilt = y + g1 * lam * (T - t)
     log_factor2 = (

@@ -7,8 +7,9 @@ byte-identical CSV/JSON/SVG outputs.
 
 The table ``_FIELDS`` is the schema: every field's dotted name, converter
 and default, and from it every flag.  Numbers must be finite JSON numbers;
-bools, strings, NaN and infinities are ConfigErrors naming the field.  All
-keys except "market" and "alpha" are optional; with the defaults::
+bools, strings, NaN and infinities are ConfigErrors naming the field, and so
+is a key the table does not know.  All keys except "market" and "alpha" are
+optional; with the defaults::
 
     {
       "market": {"r": 0.0, "sigma": 1.0, "mus": [1, 2, 3], "prior": [0.3, 0.3, 0.4]},
@@ -130,9 +131,9 @@ _FIELDS = (
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
     """Read the JSON config, apply flag overrides, and resolve all defaults.
 
-    Each field of _FIELDS takes its flag, else its config value, else its
-    default, and its converter checks whichever wins; a failed conversion
-    is a ConfigError that names the field.
+    A key outside _FIELDS is a ConfigError.  Each field takes its flag, else
+    its config value, else its default, and its converter checks whichever
+    wins; a failed conversion is a ConfigError that names the field.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -142,6 +143,13 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    fields = {name for name, _, _ in _FIELDS}
+    known = fields | {name.rpartition(".")[0] for name in fields} - {""}
+    for key, node in raw.items():
+        nested = key in known - fields and isinstance(node, dict)
+        for name in [f"{key}.{k}" for k in node] if nested else [key]:
+            if name not in known or "." in key:  # "query.t" at the root is not query.t
+                raise ConfigError(f"unknown config key {name}")
 
     v = {}  # keyed by the last part of the field name
     for name, convert, default in _FIELDS:
@@ -170,6 +178,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         raise ConfigError(str(exc)) from exc
     if v["n_paths"] < 1:
         raise ConfigError(f"sim.n_paths must be >= 1, got {v['n_paths']}")
+    if v["seed"] < 0:
+        raise ConfigError(f"sim.seed must be >= 0, got {v['seed']}")
     return RunConfig(model=model, quad=quad, **v)
 
 
@@ -307,7 +317,7 @@ def cmd_filter_demo(config: RunConfig) -> int:
     path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
 
     closed = posterior_weights(model, path.times, path.y)
-    closed[0] = model.prior  # posterior() pins t = 0 to the prior
+    closed[0] = model.prior  # Y_0 = 0: row 0 is the prior itself
     discrepancy = float(np.max(np.abs(path.probs - closed)))
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

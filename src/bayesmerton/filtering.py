@@ -4,11 +4,17 @@ The posterior over the drift support given the observable process
 ``Y_t = W_t + gamma_theta * t`` is available in closed form through the
 likelihood weights
 
-    L_t(mu_k, y) = exp(gamma_k * y - gamma_k^2 * t / 2)     (t > 0; 1 at t = 0)
+    L_t(mu_k, y) = exp(gamma_k * y - gamma_k^2 * t / 2)
 
 and their prior mixture ``F(t, y) = sum_k p_k L_t(mu_k, y)``.  All products
 are carried in the log domain: the exponents scale like ``gamma^2 T / 2`` and
 overflow doubles beyond ``T ~ 1400 / gamma^2`` otherwise.
+
+One rule holds at t = 0: ``Y_0 = 0`` is the only observation, where L_0 = 1
+and the posterior is the prior.  :func:`posterior_weights` evaluates the
+closed form as written, continuous in t.  The callers that report a t = 0
+value pin it: :func:`log_normalizer` and ``strategy.evaluate_points`` at
+T = 0 take y = 0, and the first row of the CLI's filter demo is the prior.
 
 The same posterior solves a diffusion driven by the innovation process,
 
@@ -40,14 +46,6 @@ _EULER_GUARD = (-0.1, 1.1)
 #: Clipping floor applied after every Euler step, then renormalized; the SDE
 #: preserves the simplex only in exact arithmetic.
 _EULER_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Posterior drift distribution at time t: probs[k] = P(theta = mu_k | Y_t)."""
-
-    t: float
-    probs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,28 +104,13 @@ def posterior_weights(model: MarketModel, t, y) -> np.ndarray:
 
     The closed form is continuous in t at fixed y: at t = 0 it gives weights
     proportional to p_k exp(gamma_k y), which is the prior at y = 0, the only
-    value Y_0 takes.  :func:`posterior` instead pins t = 0 to the prior for
-    every y.
+    value Y_0 takes.  A caller reporting a t = 0 posterior pins it there.
     """
     w = _log_joint(model, t, y)
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     return w
-
-
-def posterior(model: MarketModel, t: float, y: float) -> Posterior:
-    """Closed-form posterior: probs[k] proportional to p_k L_t(mu_k, y)."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return Posterior(t=0.0, probs=model.prior)
-    return Posterior(t=t, probs=posterior_weights(model, t, float(y)))
-
-
-def posterior_mean(model: MarketModel, t: float, y: float) -> float:
-    """Conditional drift estimate mu_hat = sum_k mu_k p_k(t); in [mu_1, mu_d]."""
-    return float(posterior(model, t, y).probs @ model.mus)
 
 
 def simulate_filter_sde(
@@ -151,7 +134,7 @@ def simulate_filter_sde(
     host dispatches for a dot product.
 
     Returns the posterior trajectory together with the driving ``Y`` path, so
-    the closed form :func:`posterior` is evaluable at matching times.
+    the closed form :func:`posterior_weights` is evaluable at matching times.
 
     Raises
     ------

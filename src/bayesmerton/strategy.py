@@ -42,10 +42,11 @@ log utility (alpha = 0) at every horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .filtering import logsumexp, posterior, posterior_weights
+from .filtering import logsumexp, posterior_weights
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
@@ -59,11 +60,11 @@ MIN_NODES = 8
 #: entries; larger chunks raise peak memory without running faster.
 _CHUNK_ENTRIES = 16_384
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-class DegenerateHorizon(ValueError):
-    """t = T has no stabilized mixture; use the maturity closed form."""
+@cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # looked up at the first call: numpy imports np.polynomial only on access
+    return np.polynomial.legendre.leggauss(n)
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -93,15 +94,6 @@ class QuadratureConfig:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not self.half_width > 0.0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
-
-
-@dataclass(frozen=True)
-class StabilizedMixture:
-    """Normalized log-weights and component parameters of the z-coordinate mixture."""
-
-    log_weights: np.ndarray  # (d,), normalized: logsumexp == 0
-    means: np.ndarray  # (d,), gamma_k sqrt(T-t) / (1-alpha)
-    variance: float  # 1 / (1-alpha), shared by all components
 
 
 @dataclass(frozen=True)
@@ -137,8 +129,9 @@ def _power_check(alpha: float) -> None:
 def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
     """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each.
 
-    The weights are the filter posterior at the effective time
-    tau = (t - alpha T) / (1 - alpha), which tends to -inf as T grows for
+    Components share the variance 1 / (1 - alpha); the kernel and the pessimist
+    bound both read the mixture from here.  The weights are the filter posterior
+    at tau = (t - alpha T) / (1 - alpha), which tends to -inf as T grows for
     alpha in (0, 1), putting the weight on the best drift (the optimist), and
     to +inf for alpha < 0, putting it on the worst drift (the pessimist).
     """
@@ -153,38 +146,6 @@ def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, 
     )
     means = gam * np.sqrt(T_col - t_col) / one_minus
     return log_q - logsumexp(log_q)[..., None], means
-
-
-def stable_integrand_weights(
-    model: MarketModel, alpha: float, t: float, T: float, y: float
-) -> StabilizedMixture:
-    """Mixture weights and component parameters of the stabilized integrands.
-
-    Log-weights are normalized by max-shift; the common constant dropped in
-    the normalization cancels in every ratio the weights feed into.
-
-    Raises
-    ------
-    DegenerateHorizon
-        If t = T; the caller must use the maturity closed form instead.
-    """
-    _power_check(alpha)
-    if t == T:
-        raise DegenerateHorizon("t = T: use the posterior-mean Merton closed form")
-    if not 0.0 <= t < T:
-        raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
-    log_w, means = _stabilized(model, alpha, t, T, y)
-    for arr in (log_w, means):
-        arr.setflags(write=False)
-    return StabilizedMixture(log_weights=log_w, means=means, variance=1.0 / (1.0 - alpha))
-
-
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _leggauss_cache.get(n)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(n)
-        _leggauss_cache[n] = rule
-    return rule
 
 
 def needs_quadrature(model: MarketModel, alpha: float) -> bool:
@@ -366,36 +327,6 @@ def optimal_fraction(
     )
 
 
-def optimal_fraction_grid(
-    model: MarketModel,
-    alpha: float,
-    t: float,
-    T: float,
-    y_values: np.ndarray,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> np.ndarray:
-    """Vectorized u*(t, T, y) over an array of y values.
-
-    Same doubling scheme as :func:`optimal_fraction`, converged point by
-    point: each y stops at its own first agreeing level, so every value
-    equals the scalar call at that y.
-
-    Raises
-    ------
-    QuadratureNotConverged
-        If any point hits the node cap before two levels agree.
-    """
-    _power_check(alpha)
-    y_arr = np.asarray(y_values, dtype=float).reshape(-1)
-    u, _, failed, _ = evaluate_points(model, alpha, t, T, y_arr, quad)
-    if failed.any():
-        raise QuadratureNotConverged(
-            f"{int(failed.sum())} of {y_arr.size} grid points did not settle to "
-            f"rel_tol {quad.rel_tol}"
-        )
-    return u
-
-
 def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:
     """Optimal fraction under logarithmic utility: (mu_hat(t, y) - r) / sigma^2.
 
@@ -456,7 +387,7 @@ def mc_fraction(
     scale = model.sigma * one_minus
 
     if var == 0.0:
-        probs = posterior(model, query.T, query.y).probs
+        probs = posterior_weights(model, query.T, query.y) if query.T else model.prior
         return McFraction(
             estimate=float(probs @ gam) / scale,
             std_error=0.0,

@@ -15,7 +15,6 @@ from bayesmerton import (
     merton_fraction,
     new_market,
     optimal_fraction,
-    posterior_mean,
     posterior_weights,
     simulate_filter_sde,
 )
@@ -153,9 +152,8 @@ def test_criterion_07_degenerate_closed_forms():
             y = float(rng.normal(0.0, 2.0))
             alpha = random_alpha(rng, lo=-3.0, hi=0.9)
             sv = optimal_fraction(TOY, alpha, StrategyQuery(T, T, y))
-            expected = (posterior_mean(TOY, T, y) - TOY.r) / (
-                TOY.sigma**2 * (1.0 - alpha)
-            )
+            mean = float(posterior_weights(TOY, T, y) @ TOY.mus)
+            expected = (mean - TOY.r) / (TOY.sigma**2 * (1.0 - alpha))
             assert abs(sv.u_star - expected) <= 1e-12
             assert abs(sv.hedging) <= 1e-12
 
@@ -173,7 +171,7 @@ def test_criterion_09_filter_agreement():
         def max_err(step: float, seed: int) -> float:
             path = simulate_filter_sde(TOY, 2, 5.0, step, seed=seed)
             closed = posterior_weights(TOY, path.times, path.y)
-            closed[0] = TOY.prior  # posterior() pins t = 0 to the prior
+            closed[0] = TOY.prior  # Y_0 = 0: row 0 is the prior, as filter-demo writes it
             return float(np.max(np.abs(path.probs - closed)))
 
         seeds = range(20)

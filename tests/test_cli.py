@@ -14,7 +14,7 @@ import pytest
 import bayesmerton.cli as cli
 import bayesmerton.simkit as simkit
 import bayesmerton.strategy as strategy
-from bayesmerton import new_market, posterior
+from bayesmerton import new_market, posterior_weights
 from bayesmerton.cli import main
 
 
@@ -144,6 +144,32 @@ class TestEval:
         cfg = write_config(tmp_path, out_dir, sweep={"horizons": [1, 2]})
         with pytest.raises(TypeError, match="planted"):
             main(["--config", cfg, "sweep"])
+
+    @pytest.mark.parametrize("command", ["eval", "filter-demo", "optcheck"])
+    def test_negative_seed_exits_2_naming_field(self, tmp_path, out_dir, capsys, command):
+        # numpy's SeedSequence would reject it later without naming the field,
+        # and eval, which draws nothing, would not reject it at all
+        for extra, flags in (({"sim": {"seed": -1}}, []), ({}, ["--seed", "-1"])):
+            cfg = write_config(tmp_path, out_dir, **extra)
+            assert main(["--config", cfg, *flags, command]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert err["message"].startswith("sim.seed")
+
+    @pytest.mark.parametrize("name, extra", [
+        ("sim.n_path", {"sim": {"n_path": 10}}),
+        ("seeed", {"seeed": 3}),
+        ("quadrature.node", {"quadrature": {"node": 8}}),
+        ("optchek", {"optchek": {"perturbations": [0.5]}}),
+        ("market.rate", {"market": dict(TOY_MARKET, rate=0.0)}),
+        ("query.t", {"query.t": 0.5}),  # a dotted key is not the nested field
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, out_dir, capsys, name, extra):
+        # a misspelt key would otherwise leave its field at the default
+        cfg = write_config(tmp_path, out_dir, **extra)
+        assert main(["--config", cfg, "eval"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"unknown config key {name}"}
 
 
 #: Every numeric field, scalar or list, with a valid value; a list field is
@@ -419,8 +445,10 @@ class TestFilterDemo:
         with open(out_dir / "filter_demo.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1001
-        for row in rows:
-            probs = posterior(model, float(row["time"]), float(row["y"])).probs
+        for i, row in enumerate(rows):
+            probs = posterior_weights(model, float(row["time"]), float(row["y"]))
+            if i == 0:
+                probs = model.prior  # Y_0 = 0: row 0 is the prior itself
             assert [row[f"closed_p_{k + 1}"] for k in range(3)] == [repr(float(p)) for p in probs]
 
     def test_discrepancy_shrinks_with_step(self, tmp_path, out_dir, capsys):

@@ -9,8 +9,6 @@ from bayesmerton import (
     StepTooLarge,
     log_normalizer,
     new_market,
-    posterior,
-    posterior_mean,
     posterior_weights,
     simulate_filter_sde,
 )
@@ -81,16 +79,12 @@ class TestNormalizer:
 
 
 class TestPosterior:
-    def test_time_zero_is_prior(self, toy):
-        np.testing.assert_allclose(posterior(toy, 0.0, -2.0).probs, toy.prior, rtol=0)
-
     def test_toy_proportionality(self, toy):
         weights = toy.prior * np.exp(toy.gammas * 0.0 - 0.5 * toy.gammas**2 * 1.0)
         np.testing.assert_allclose(
-            posterior(toy, 1.0, 0.0).probs, weights / weights.sum(), rtol=1e-13
+            posterior_weights(toy, 1.0, 0.0), weights / weights.sum(), rtol=1e-13
         )
-        # vectorized over a (t, y) grid and continuous at t = 0, where
-        # posterior() instead pins the prior
+        # vectorized over a (t, y) grid and continuous at t = 0
         t = np.array([0.0, 0.5, 2.0])[:, None]
         y = np.array([-1.5, 0.0, 2.5])
         w = toy.prior * np.exp(toy.gammas * y[..., None] - 0.5 * toy.gammas**2 * t[..., None])
@@ -100,29 +94,30 @@ class TestPosterior:
 
     def test_single_state(self):
         m = new_market(0.0, 1.0, (2.0,), (1.0,))
-        assert posterior(m, 3.0, 1.0).probs[0] == 1.0
+        assert posterior_weights(m, 3.0, 1.0)[0] == 1.0
 
     def test_simplex_and_mean_bounds(self, toy):
         rng = np.random.default_rng(11)
         for _ in range(100):
             t = float(rng.uniform(0.0, 50.0))
             y = float(rng.normal(0.0, 5.0))
-            p = posterior(toy, t, y).probs
+            p = posterior_weights(toy, t, y)
             assert abs(p.sum() - 1.0) < 1e-10
-            mean = posterior_mean(toy, t, y)
+            mean = float(p @ toy.mus)
             assert toy.mus[0] - 1e-12 <= mean <= toy.mus[-1] + 1e-12
 
     def test_monotone_in_observation(self, toy):
         """Higher y shifts mass to the top state, away from the bottom one."""
         ys = np.linspace(-6.0, 6.0, 61)
-        p_top = [posterior(toy, 2.0, y).probs[-1] for y in ys]
-        p_bot = [posterior(toy, 2.0, y).probs[0] for y in ys]
+        p_top = [posterior_weights(toy, 2.0, y)[-1] for y in ys]
+        p_bot = [posterior_weights(toy, 2.0, y)[0] for y in ys]
         assert np.all(np.diff(p_top) >= -1e-15)
         assert np.all(np.diff(p_bot) <= 1e-15)
 
     def test_posterior_mean_toy_value(self, toy):
-        p = posterior(toy, 1.0, 0.0).probs
-        assert posterior_mean(toy, 1.0, 0.0) == pytest.approx(float(p @ toy.mus))
+        w = (0.3 * np.exp(-0.5), 0.3 * np.exp(-2.0), 0.4 * np.exp(-4.5))
+        expected = (1.0 * w[0] + 2.0 * w[1] + 3.0 * w[2]) / sum(w)
+        assert float(posterior_weights(toy, 1.0, 0.0) @ toy.mus) == pytest.approx(expected)
 
 
 class TestFilterSde:
@@ -171,7 +166,7 @@ class TestFilterSde:
         def max_err(step, seed):
             path = simulate_filter_sde(toy, 2, 2.0, step, seed=seed)
             closed = posterior_weights(toy, path.times, path.y)
-            closed[0] = toy.prior  # posterior() pins t = 0 to the prior
+            closed[0] = toy.prior  # Y_0 = 0: row 0 is the prior, as filter-demo writes it
             return np.max(np.abs(path.probs - closed))
 
         seeds = range(6)

@@ -13,7 +13,7 @@ from bayesmerton import (
     merton_fraction,
     new_market,
     optimal_fraction,
-    posterior,
+    posterior_weights,
 )
 import bayesmerton.simkit as simkit
 import bayesmerton.strategy as strategy_mod
@@ -182,7 +182,7 @@ class TestObservationConsistency:
         record = simulate_paths(toy, lambda t, y: 0.0, T=horizon, step=0.05, n_paths=400, seed=21)
         hits = 0
         for y_T, theta in zip(record.y[:, -1], record.theta_index):
-            probs = posterior(toy, horizon, float(y_T)).probs
+            probs = posterior_weights(toy, horizon, float(y_T))
             hits += int(np.argmax(probs) == theta)
         fraction = hits / record.theta_index.size
         print(f"posterior identification rate at T={horizon}: {fraction:.3f}")
@@ -290,7 +290,7 @@ class TestCachedStrategy:
         got = float(strat(0.3, np.array([0.4]))[0])
         assert got == pytest.approx(log_utility_fraction(toy, 0.3, 0.4), abs=1e-4)
         # the t = 0 row keeps the continuum form p_k exp(gamma_k y), not the
-        # prior that posterior() pins at t = 0, so rows stay continuous in t
+        # prior that log_utility_fraction pins at t = 0, so rows stay continuous in t
         y = strat._y_grid
         w = toy.prior * np.exp(toy.gammas * y[:, None])
         continuum = (w @ toy.mus / w.sum(axis=1) - toy.r) / toy.sigma**2

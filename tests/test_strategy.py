@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bayesmerton import (
-    DegenerateHorizon,
     InvalidAlpha,
     QuadratureConfig,
     QuadratureNotConverged,
@@ -13,11 +12,7 @@ from bayesmerton import (
     merton_fraction,
     new_market,
     optimal_fraction,
-    optimal_fraction_grid,
-    posterior,
-    posterior_mean,
     posterior_weights,
-    stable_integrand_weights,
 )
 import bayesmerton.strategy as strategy_mod
 
@@ -42,24 +37,23 @@ MPMATH_VALUES = [
 class TestStableIntegrandWeights:
     def test_single_state(self):
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
-        mix = stable_integrand_weights(m, 0.5, 0.0, 4.0, 0.0)
-        assert mix.log_weights[0] == 0.0
-        assert mix.means[0] == pytest.approx(1.0 * 2.0 / 0.5)  # gamma sqrt(T-t)/(1-a)
-        assert mix.variance == pytest.approx(2.0)
+        log_w, means = strategy_mod._stabilized(m, 0.5, 0.0, 4.0, 0.0)
+        assert log_w[0] == 0.0
+        assert means[0] == pytest.approx(1.0 * 2.0 / 0.5)  # gamma sqrt(T-t)/(1-a)
 
     def test_direct_weight_oracle(self, toy):
         """Normalized weights match the plainly evaluated q_k at T=5, a=0.5."""
-        mix = stable_integrand_weights(toy, 0.5, 0.0, 5.0, 0.0)
+        log_w, _ = strategy_mod._stabilized(toy, 0.5, 0.0, 5.0, 0.0)
         q = toy.prior * np.exp(0.5 * toy.gammas**2 * (5.0 * 0.5) / 0.5)
-        np.testing.assert_allclose(np.exp(mix.log_weights), q / q.sum(), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(log_w), q / q.sum(), rtol=1e-12)
 
     def test_pessimist_weight_concentrates_on_worst_state(self, toy):
-        mix = stable_integrand_weights(toy, -0.5, 0.0, 1e4, 0.0)
-        assert np.exp(mix.log_weights)[0] > 1.0 - 1e-10
+        log_w, _ = strategy_mod._stabilized(toy, -0.5, 0.0, 1e4, 0.0)
+        assert np.exp(log_w)[0] > 1.0 - 1e-10
 
     def test_optimist_weight_concentrates_on_best_state(self, toy):
-        mix = stable_integrand_weights(toy, 0.5, 0.0, 1e4, 0.0)
-        assert np.exp(mix.log_weights)[-1] > 1.0 - 1e-10
+        log_w, _ = strategy_mod._stabilized(toy, 0.5, 0.0, 1e4, 0.0)
+        assert np.exp(log_w)[-1] > 1.0 - 1e-10
 
     def test_weights_are_posterior_at_effective_time(self):
         """exp(log-weights) is the filter posterior at tau = (t - alpha T) / (1 - alpha)."""
@@ -70,17 +64,9 @@ class TestStableIntegrandWeights:
             T = float(rng.uniform(0.0, 100.0))
             t = float(rng.uniform(0.0, T))
             y = float(rng.normal(0.0, 1.0 + np.sqrt(T)))
-            weights = np.exp(stable_integrand_weights(m, alpha, t, T, y).log_weights)
+            weights = np.exp(strategy_mod._stabilized(m, alpha, t, T, y)[0])
             tau = (t - alpha * T) / (1.0 - alpha)
             np.testing.assert_allclose(weights, posterior_weights(m, tau, y), rtol=0, atol=1e-13)
-
-    def test_degenerate_horizon(self, toy):
-        with pytest.raises(DegenerateHorizon):
-            stable_integrand_weights(toy, 0.5, 2.0, 2.0, 0.0)
-
-    def test_log_case_rejected(self, toy):
-        with pytest.raises(InvalidAlpha):
-            stable_integrand_weights(toy, 0.0, 0.0, 2.0, 0.0)
 
 
 class TestClosedForms:
@@ -101,10 +87,11 @@ class TestClosedForms:
             T = float(rng.uniform(0.1, 20.0))
             y = float(rng.normal(0, 2))
             sv = optimal_fraction(toy, -0.5, StrategyQuery(T, T, y))
-            expected = (posterior_mean(toy, T, y) - toy.r) / (toy.sigma**2 * 1.5)
+            probs = posterior_weights(toy, T, y)
+            expected = (float(probs @ toy.mus) - toy.r) / (toy.sigma**2 * 1.5)
             assert sv.u_star == pytest.approx(expected, abs=1e-12)
             assert sv.hedging == 0.0
-            np.testing.assert_allclose(sv.f, posterior(toy, T, y).probs, rtol=1e-12)
+            np.testing.assert_allclose(sv.f, probs, rtol=1e-12)
 
     def test_zero_horizon(self, toy):
         sv = optimal_fraction(toy, 0.5, StrategyQuery(0.0, 0.0, 0.0))
@@ -144,8 +131,6 @@ class TestQuadratureValues:
         # the power-utility entry points; evaluate_points itself takes alpha = 0
         with pytest.raises(InvalidAlpha):
             optimal_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0))
-        with pytest.raises(InvalidAlpha):
-            optimal_fraction_grid(toy, 0.0, 0.0, 1.0, [0.0])
         with pytest.raises(InvalidAlpha):
             mc_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0), 100, seed=0)
 
@@ -210,7 +195,7 @@ class TestKernelReference:
 class TestGridEvaluator:
     def test_matches_scalar_calls(self, toy, monkeypatch):
         ys = np.array([-3.0, -0.5, 0.0, 1.2, 4.0])
-        grid = optimal_fraction_grid(toy, 0.5, 0.2, 1.5, ys)
+        grid, _, _, _ = strategy_mod.evaluate_points(toy, 0.5, 0.2, 1.5, ys)
         for y, u in zip(ys, grid):
             sv = optimal_fraction(toy, 0.5, StrategyQuery(0.2, 1.5, float(y)))
             assert u == pytest.approx(sv.u_star, rel=1e-13)
@@ -263,25 +248,24 @@ class TestGridEvaluator:
 
     def test_maturity_and_single_state_paths(self, toy):
         ys = np.array([-1.0, 0.0, 2.0])
-        at_maturity = optimal_fraction_grid(toy, 0.5, 2.0, 2.0, ys)
+        at_maturity = strategy_mod.evaluate_points(toy, 0.5, 2.0, 2.0, ys)[0]
         for y, u in zip(ys, at_maturity):
-            expected = (posterior_mean(toy, 2.0, float(y)) - toy.r) / (toy.sigma**2 * 0.5)
+            mean = float(posterior_weights(toy, 2.0, float(y)) @ toy.mus)
+            expected = (mean - toy.r) / (toy.sigma**2 * 0.5)
             assert u == pytest.approx(expected, rel=1e-12)
         # T = 0: the likelihood is identically 1, so the prior mean for every y
         prior_merton = (float(toy.prior @ toy.mus) - toy.r) / (toy.sigma**2 * 0.5)
         np.testing.assert_allclose(
-            optimal_fraction_grid(toy, 0.5, 0.0, 0.0, ys), prior_merton, rtol=1e-14
+            strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, ys)[0], prior_merton, rtol=1e-14
         )
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
         np.testing.assert_allclose(
-            optimal_fraction_grid(m, -1.0, 0.0, 3.0, ys), merton_fraction(m, 1.0, -1.0)
+            strategy_mod.evaluate_points(m, -1.0, 0.0, 3.0, ys)[0], merton_fraction(m, 1.0, -1.0)
         )
 
     def test_bad_times_rejected(self, toy):
         # rejected before sqrt(T - t) can turn NaN
-        with pytest.raises(ValueError):
-            optimal_fraction_grid(toy, 0.5, 2.0, 1.0, [0.0])
-        for t, T in ((-0.1, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+        for t, T in ((2.0, 1.0), (-0.1, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
             with pytest.raises(ValueError):
                 strategy_mod.evaluate_points(toy, 0.5, t, T, 0.0)
 
@@ -384,7 +368,7 @@ class TestLogUtility:
 
     def test_composes_with_filter(self, toy):
         assert log_utility_fraction(toy, 1.0, 0.0) == pytest.approx(
-            posterior_mean(toy, 1.0, 0.0) / 1.0, rel=1e-14
+            float(posterior_weights(toy, 1.0, 0.0) @ toy.mus) / 1.0, rel=1e-14
         )
 
     def test_power_utility_limit(self, toy):
@@ -429,9 +413,10 @@ class TestOneClosedForm:
             for t, T in ((0.0, 1.0), (0.4, 1.5), (2.0, 2.0)):
                 for y in rng.normal(0.0, 1.0, size=2):
                     sv = optimal_fraction(market, alpha, StrategyQuery(t, T, float(y)))
-                    expected = (posterior_mean(market, t, float(y)) - market.r) / (
-                        market.sigma**2 * (1.0 - alpha)
-                    )
+                    # at t = 0 the myopic term sees Y_0 = 0, the prior
+                    probs = posterior_weights(market, t, float(y) if t else 0.0)
+                    mean = float(probs @ market.mus)
+                    expected = (mean - market.r) / (market.sigma**2 * (1.0 - alpha))
                     assert sv.myopic == pytest.approx(expected, rel=1e-13)
                     assert sv.hedging == sv.u_star - sv.myopic
 
