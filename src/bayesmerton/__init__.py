@@ -20,13 +20,10 @@ from .filtering import (
     simulate_filter_sde,
 )
 from .strategy import (
-    McFraction,
     QuadratureConfig,
     QuadratureNotConverged,
     StrategyValue,
-    fk_profile,
     log_utility_fraction,
-    mc_fraction,
     optimal_fraction,
 )
 from .asymptotics import (
@@ -41,12 +38,8 @@ from .asymptotics import (
 from .simkit import (
     CacheProbeFailed,
     CachedStrategy,
-    PathRecord,
-    UtilityEstimate,
     build_feedback_strategy,
-    estimate_utility,
     optimality_check,
-    simulate_paths,
     terminal_wealth,
 )
 
@@ -66,13 +59,10 @@ __all__ = [
     "log_normalizer",
     "posterior_weights",
     "simulate_filter_sde",
-    "McFraction",
     "QuadratureConfig",
     "QuadratureNotConverged",
     "StrategyValue",
-    "fk_profile",
     "log_utility_fraction",
-    "mc_fraction",
     "optimal_fraction",
     "HypothesisViolated",
     "InvalidLambda",
@@ -83,11 +73,7 @@ __all__ = [
     "pessimist_lower_bound_f1",
     "CacheProbeFailed",
     "CachedStrategy",
-    "PathRecord",
-    "UtilityEstimate",
     "build_feedback_strategy",
-    "estimate_utility",
     "optimality_check",
-    "simulate_paths",
     "terminal_wealth",
 ]

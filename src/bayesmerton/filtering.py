@@ -28,11 +28,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .csvout import write_columns
 from .model import MarketModel
 
 
@@ -55,9 +53,7 @@ class FilterPath:
     times: np.ndarray
     probs: np.ndarray  # (n_steps + 1, d)
     y: np.ndarray  # (n_steps + 1,)
-    true_drift_index: int
     step: float
-    seed: int
 
 
 def _time_grid(T: float, step: float) -> np.ndarray:
@@ -187,23 +183,5 @@ def simulate_filter_sde(
         times=times,
         probs=np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d),
         y=np.frombuffer(ys, dtype=float),
-        true_drift_index=int(true_drift_index),
         step=step,
-        seed=int(seed),
-    )
-
-
-def export_trajectory_csv(model: MarketModel, path: FilterPath, stream: IO[str]) -> None:
-    """Write a trajectory as CSV: time, y, p_1..p_d, posterior_mean.
-
-    The posterior mean is summed over the states in order, as the Euler step
-    sums it.
-    """
-    mean = np.zeros(path.times.size)
-    for k, mu in enumerate(model.mus.tolist()):
-        mean += path.probs[:, k] * mu
-    write_columns(
-        stream,
-        ["time", "y"] + [f"p_{k + 1}" for k in range(model.d)] + ["posterior_mean"],
-        [path.times, path.y, *path.probs.T, mean],
     )

@@ -7,14 +7,14 @@ in the noise and Euler only in the control (the fraction is frozen over each
 step), so positivity of stock and wealth is structural and a constant
 fraction reproduces the closed-form geometric Brownian solution to roundoff.
 
-One stepper, :func:`_step_paths`, serves :func:`simulate_paths`, which
-records every path in log-wealth, and :func:`terminal_wealth`.  It moves all
-paths one time step at a time and calls the strategy once per step.  Two
-running sums per path, ``gain = sum u_i ((mu_theta - r) dt + sigma dW_i)`` and
-``power = sum u_i^2 dt``, give ``log X_T = r T + c gain - sigma^2 c^2 power / 2``
-for every scaled candidate ``c * strategy``, so memory is a few ``n_paths``
-vectors at any step count.  The grid has ``n_steps = max(1, round(T / step))``
-steps of ``T / n_steps``, so it ends exactly at ``T``.
+One stepper, :func:`terminal_wealth`, moves all paths one time step at a
+time and calls the strategy once per step with every path's observation.
+Two running sums per path, ``gain = sum u_i ((mu_theta - r) dt + sigma dW_i)``
+and ``power = sum u_i^2 dt``, give
+``log X_T = r T + c gain - sigma^2 c^2 power / 2`` for every scaled candidate
+``c * strategy``, so memory is a few ``n_paths`` vectors at any step count.
+The grid has ``n_steps = max(1, round(T / step))`` steps of ``T / n_steps``,
+so it ends exactly at ``T``.
 
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
 come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .csvout import write_columns
 from .filtering import _time_grid
 from .model import MarketModel, UtilitySpec
 from .strategy import (
@@ -67,32 +66,6 @@ StrategyFn = Callable[[float, np.ndarray], np.ndarray]
 
 class CacheProbeFailed(RuntimeError):
     """Cached-strategy interpolation missed direct evaluation by PROBE_TOL or more."""
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Simulated paths on one time grid, one row per path.
-
-    ``y``, ``log_wealth`` (log X_t from unit initial wealth) and ``fraction``
-    have shape ``(n_paths, times.size)``; ``theta_index`` holds each path's
-    drift index.  Stock and wealth are derived on export.
-    """
-
-    model: MarketModel
-    times: np.ndarray
-    theta_index: np.ndarray
-    y: np.ndarray
-    log_wealth: np.ndarray
-    fraction: np.ndarray
-
-
-@dataclass(frozen=True)
-class UtilityEstimate:
-    """Monte Carlo estimate of E[U(X_T)]."""
-
-    mean: float
-    std_error: float
-    n_paths: int
 
 
 class CachedStrategy:
@@ -253,81 +226,6 @@ def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
     return rng.choice(model.d, size=n_paths, p=model.prior)
 
 
-def _log_wealth(model: MarketModel, t, c, gain: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """log X_t of the candidate ``c * strategy`` from its running sums at time t."""
-    return model.r * t + c * gain - 0.5 * model.sigma**2 * c * c * power
-
-
-def _step_paths(
-    model: MarketModel,
-    strategy: StrategyFn,
-    scales: Sequence[float],
-    times: np.ndarray,
-    n_paths: int,
-    seed: int,
-    paths: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one path stepper: drift indices and log X_T of every ``c * strategy``.
-
-    ``strategy`` is called once per time step with the time and the
-    observations of all paths, and may return a scalar or a vector.  log X_T
-    has shape ``(len(scales), n_paths)``.  ``paths``, if given, is a
-    ``(3, n_paths, times.size)`` array that receives y, log X_t of the
-    unscaled strategy, and its fraction at every grid time.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n_steps = times.size - 1
-    dt = float(times[1])
-    sqrt_dt = math.sqrt(dt)
-    thetas = _theta_indices(model, n_paths, seed)
-    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    excess_dt = (model.mus[thetas] - model.r) * dt
-    gam_dt = model.gammas[thetas] * dt
-    y, gain, power = np.zeros((3, n_paths))
-    for i in range(n_steps):
-        u = strategy(float(times[i]), y)
-        if paths is not None:
-            log_x = _log_wealth(model, times[i], 1.0, gain, power)
-            paths[:, :, i] = np.broadcast_arrays(y, log_x, u)
-        dw = noise.standard_normal(n_paths) * sqrt_dt
-        gain += u * (excess_dt + model.sigma * dw)
-        power += u * u * dt
-        y = y + (dw + gam_dt)
-    if paths is not None:
-        u = strategy(float(times[-1]), y)
-        log_x = _log_wealth(model, times[-1], 1.0, gain, power)
-        paths[:, :, n_steps] = np.broadcast_arrays(y, log_x, u)
-    c = np.asarray(scales, dtype=float)[:, None]
-    return thetas, _log_wealth(model, times[-1], c, gain, power)
-
-
-def simulate_paths(
-    model: MarketModel,
-    strategy: StrategyFn,
-    T: float,
-    step: float,
-    n_paths: int,
-    seed: int,
-) -> PathRecord:
-    """Simulate full paths under a feedback strategy into one :class:`PathRecord`.
-
-    The strategy is called once per time step with the current time and the
-    vector of path observations; it may return a scalar or a vector.  The
-    record keeps y, log-wealth and fraction, so memory grows with
-    n_paths x n_steps; stock and wealth are derived by
-    :func:`export_path_csv`.  Its final log-wealth column is
-    ``terminal_wealth``'s for the unit scale, bit for bit.  For
-    terminal-only studies use :func:`optimality_check` or
-    :func:`terminal_wealth`.
-    """
-    times = _time_grid(T, step)
-    paths = np.empty((3, n_paths, times.size))
-    thetas, _ = _step_paths(model, strategy, [1.0], times, n_paths, seed, paths)
-    y, log_wealth, fraction = paths
-    return PathRecord(model, times, thetas, y, log_wealth, fraction)
-
-
 def terminal_wealth(
     model: MarketModel,
     strategy: StrategyFn,
@@ -341,11 +239,30 @@ def terminal_wealth(
 
     Returns the sampled drift indices and log X_T with shape
     ``(len(scales), n_paths)``, row j under ``scales[j] * strategy``.  The
-    strategy is evaluated once per step for all scales, and every scale sees
-    the same noise (common random numbers), which makes the per-path utility
+    strategy is called once per time step with the time and the observations
+    of all paths, and may return a scalar or a vector; every scale sees the
+    same noise (common random numbers), which makes the per-path utility
     differences directly comparable.
     """
-    return _step_paths(model, strategy, scales, _time_grid(T, step), n_paths, seed)
+    times = _time_grid(T, step)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    n_steps = times.size - 1
+    dt = float(times[1])
+    sqrt_dt = math.sqrt(dt)
+    thetas = _theta_indices(model, n_paths, seed)
+    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    excess_dt = (model.mus[thetas] - model.r) * dt
+    gam_dt = model.gammas[thetas] * dt
+    y, gain, power = np.zeros((3, n_paths))
+    for i in range(n_steps):
+        u = strategy(float(times[i]), y)
+        dw = noise.standard_normal(n_paths) * sqrt_dt
+        gain += u * (excess_dt + model.sigma * dw)
+        power += u * u * dt
+        y = y + (dw + gam_dt)
+    c = np.asarray(scales, dtype=float)[:, None]
+    return thetas, model.r * times[-1] + c * gain - 0.5 * model.sigma**2 * c * c * power
 
 
 def _utilities(log_x_terminal: np.ndarray, alpha: float, x0: float) -> np.ndarray:
@@ -373,22 +290,6 @@ def _mean_and_se(sample: np.ndarray) -> tuple[float, float]:
             "terminal utilities overflow double range"
         )
     return mean, se
-
-
-def estimate_utility(record: PathRecord, alpha: float, x0: float = 1.0) -> UtilityEstimate:
-    """Sample mean and standard error of U(x0 X_T) over the record's paths.
-
-    U is the power utility x^alpha / alpha, or log x for alpha = 0, taken
-    from the recorded log X_T, so wealth far below double range still counts.
-    Paths are simulated with unit initial wealth; x0 rescales terminal
-    wealth, which for power utility just multiplies the estimate by
-    x0^alpha.  The standard error needs two paths, so one raises ValueError.
-    """
-    UtilitySpec(alpha)
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
-    mean, se = _mean_and_se(_utilities(record.log_wealth[:, -1], alpha, x0))
-    return UtilityEstimate(mean=mean, std_error=se, n_paths=record.theta_index.size)
 
 
 def optimality_check(
@@ -458,22 +359,6 @@ def optimality_check(
         "paired": paired,
         "undominated": bool(undominated),
     }
-
-
-def export_path_csv(record: PathRecord, path_index: int, stream: IO[str]) -> None:
-    """Write one path as CSV: time, stock, y, wealth, fraction.
-
-    The stock is log S_t = (r - sigma^2 / 2) t + sigma Y_t and the wealth is
-    exp(log X_t), both positive by construction.
-    """
-    m, times, y = record.model, record.times, record.y[path_index]
-    stock = np.exp((m.r - 0.5 * m.sigma**2) * times + m.sigma * y)
-    wealth = np.exp(record.log_wealth[path_index])
-    write_columns(
-        stream,
-        ["time", "stock", "y", "wealth", "fraction"],
-        [times, stock, y, wealth, record.fraction[path_index]],
-    )
 
 
 def export_report_json(report: dict, stream: IO[str]) -> None:

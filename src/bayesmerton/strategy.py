@@ -112,20 +112,6 @@ class StrategyValue:
     hedging: float
 
 
-@dataclass(frozen=True)
-class McFraction:
-    """Monte Carlo estimate of u_star with a delta-method standard error."""
-
-    estimate: float
-    std_error: float
-    n_samples: int
-
-
-def _power_check(alpha: float) -> None:
-    if UtilitySpec(alpha).is_log:
-        raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
-
-
 def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
     """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each.
 
@@ -314,7 +300,8 @@ def optimal_fraction(
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    _power_check(alpha)
+    if UtilitySpec(alpha).is_log:
+        raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
     (u, myopic), (f, _), (failed, _), _ = evaluate_points(
         model, alpha, query.t, [query.T, query.t], query.y, quad
     )
@@ -334,89 +321,3 @@ def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:
     at (t, t, y), so t = 0 gives the prior mean for every y.
     """
     return float(evaluate_points(model, 0.0, t, t, y)[0])
-
-
-def fk_profile(
-    model: MarketModel,
-    alpha_grid,
-    T: float,
-    t: float,
-    y: float,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> np.ndarray:
-    """Matrix of f_k(T, alpha) values, one row per alpha in the grid.
-
-    Every row sums to 1; along increasing alpha, f_d is nondecreasing and
-    f_1 nonincreasing.
-    """
-    alphas = np.asarray(alpha_grid, dtype=float).reshape(-1)
-    out = np.empty((alphas.size, model.d))
-    query = StrategyQuery(t=t, T=T, y=y)
-    for i, a in enumerate(alphas):
-        out[i] = optimal_fraction(model, float(a), query, quad).f
-    return out
-
-
-def mc_fraction(
-    model: MarketModel,
-    alpha: float,
-    query: StrategyQuery,
-    n_samples: int,
-    seed: int,
-) -> McFraction:
-    """Monte Carlo estimate of u*(t, T, y), the quadrature's independent oracle.
-
-    Forms the self-normalized ratio of the two defining expectations over
-    W ~ N(0, T - t).  Because the numerator integrand equals the denominator
-    integrand times the bounded posterior-weighted gamma average, the ratio
-    is a weighted mean of values in [gamma_1, gamma_d]; the standard error
-    comes from the usual ratio linearization.
-
-    The denominator expectation is dominated by tilted samples around
-    W = gamma_k (T - t) / (1 - alpha), which plain sampling never reaches
-    once that is more than a few standard deviations out.  Draws therefore
-    come from a defensive mixture proposal, equal weights over N(0, T - t)
-    and its d single-Gaussian tilts, with explicit importance weights.
-    """
-    _power_check(alpha)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    one_minus = 1.0 - alpha
-    gam = model.gammas
-    var = query.T - query.t
-    scale = model.sigma * one_minus
-
-    if var == 0.0:
-        probs = posterior_weights(model, query.T, query.y) if query.T else model.prior
-        return McFraction(
-            estimate=float(probs @ gam) / scale,
-            std_error=0.0,
-            n_samples=n_samples,
-        )
-
-    rng = np.random.default_rng(seed)
-    centers = np.concatenate(([0.0], gam * var / one_minus))
-    comp = rng.integers(0, centers.size, size=n_samples)
-    w_draw = centers[comp] + np.sqrt(var) * rng.standard_normal(n_samples)
-    # log of phi_var(w) / proposal(w); the 1/(d+1) proposal weight and the
-    # shared normal constant cancel inside the ratio estimator
-    sq = (w_draw[:, None] - centers) ** 2 / (2.0 * var)
-    log_is = -(w_draw**2) / (2.0 * var) - logsumexp(-sq) - np.log(centers.size)
-
-    x = query.y + w_draw
-    log_lik = np.log(model.prior) + gam * x[:, None] - 0.5 * gam * gam * query.T
-    log_F = logsumexp(log_lik)
-    v = np.exp(log_lik - log_F[:, None]) @ gam  # bounded in [gamma_1, gamma_d]
-
-    log_B = log_F / one_minus + log_is
-    log_B -= log_B.max()
-    b = np.exp(log_B)
-    b_total = b.sum()
-    v_hat = float((b * v).sum() / b_total)
-    resid = v - v_hat
-    var_v = float((b * b * resid * resid).sum() / b_total**2)
-    return McFraction(
-        estimate=v_hat / scale,
-        std_error=float(np.sqrt(var_v)) / scale,
-        n_samples=n_samples,
-    )

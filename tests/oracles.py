@@ -2,16 +2,27 @@
 
 Everything here deliberately avoids the package's stabilized code paths:
 the naive evaluator works on the literal integrands with plain products,
-and the random market generator only uses the public constructor.
+the Monte Carlo oracle samples the two defining expectations with its own
+log-sum-exp and imports nothing from ``bayesmerton.strategy``, and the
+random market generator only uses the public constructor.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from bayesmerton import MarketModel, StepTooLarge, new_market
+from bayesmerton import (
+    InvalidAlpha,
+    MarketModel,
+    StepTooLarge,
+    StrategyQuery,
+    UtilitySpec,
+    new_market,
+    posterior_weights,
+)
 from bayesmerton.filtering import _EULER_FLOOR, _EULER_GUARD, _time_grid
 
 
@@ -52,6 +63,82 @@ def naive_ratio_u(
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     top = np.max(a, axis=axis, keepdims=True)
     return np.squeeze(top, axis=axis) + np.log(np.sum(np.exp(a - top), axis=axis))
+
+
+@dataclass(frozen=True)
+class McFraction:
+    """Monte Carlo estimate of u_star with a delta-method standard error."""
+
+    estimate: float
+    std_error: float
+    n_samples: int
+
+
+def mc_fraction(
+    model: MarketModel,
+    alpha: float,
+    query: StrategyQuery,
+    n_samples: int,
+    seed: int,
+) -> McFraction:
+    """Monte Carlo estimate of u*(t, T, y), the quadrature's independent oracle.
+
+    Forms the self-normalized ratio of the two defining expectations over
+    W ~ N(0, T - t).  Because the numerator integrand equals the denominator
+    integrand times the bounded posterior-weighted gamma average, the ratio
+    is a weighted mean of values in [gamma_1, gamma_d]; the standard error
+    comes from the usual ratio linearization.
+
+    The denominator expectation is dominated by tilted samples around
+    W = gamma_k (T - t) / (1 - alpha), which plain sampling never reaches
+    once that is more than a few standard deviations out.  Draws therefore
+    come from a defensive mixture proposal, equal weights over N(0, T - t)
+    and its d single-Gaussian tilts, with explicit importance weights.
+    Like ``optimal_fraction``, it rejects the log case alpha = 0.
+    """
+    if UtilitySpec(alpha).is_log:
+        raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    one_minus = 1.0 - alpha
+    gam = model.gammas
+    var = query.T - query.t
+    scale = model.sigma * one_minus
+
+    if var == 0.0:
+        probs = posterior_weights(model, query.T, query.y) if query.T else model.prior
+        return McFraction(
+            estimate=float(probs @ gam) / scale,
+            std_error=0.0,
+            n_samples=n_samples,
+        )
+
+    rng = np.random.default_rng(seed)
+    centers = np.concatenate(([0.0], gam * var / one_minus))
+    comp = rng.integers(0, centers.size, size=n_samples)
+    w_draw = centers[comp] + np.sqrt(var) * rng.standard_normal(n_samples)
+    # log of phi_var(w) / proposal(w); the 1/(d+1) proposal weight and the
+    # shared normal constant cancel inside the ratio estimator
+    sq = (w_draw[:, None] - centers) ** 2 / (2.0 * var)
+    log_is = -(w_draw**2) / (2.0 * var) - _logsumexp(-sq) - np.log(centers.size)
+
+    x = query.y + w_draw
+    log_lik = np.log(model.prior) + gam * x[:, None] - 0.5 * gam * gam * query.T
+    log_F = _logsumexp(log_lik)
+    v = np.exp(log_lik - log_F[:, None]) @ gam  # bounded in [gamma_1, gamma_d]
+
+    log_B = log_F / one_minus + log_is
+    log_B -= log_B.max()
+    b = np.exp(log_B)
+    b_total = b.sum()
+    v_hat = float((b * v).sum() / b_total)
+    resid = v - v_hat
+    var_v = float((b * b * resid * resid).sum() / b_total**2)
+    return McFraction(
+        estimate=v_hat / scale,
+        std_error=float(np.sqrt(var_v)) / scale,
+        n_samples=n_samples,
+    )
 
 
 def two_logsumexp_fk(

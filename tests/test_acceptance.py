@@ -11,7 +11,6 @@ import pytest
 
 from bayesmerton import (
     StrategyQuery,
-    mc_fraction,
     merton_fraction,
     new_market,
     optimal_fraction,
@@ -26,9 +25,8 @@ from bayesmerton.asymptotics import (
     pessimist_lower_bound_f1,
 )
 from bayesmerton.simkit import optimality_check
-from bayesmerton.strategy import fk_profile
 
-from oracles import naive_ratio_u, random_alpha, random_market
+from oracles import mc_fraction, naive_ratio_u, random_alpha, random_market
 
 TOY = new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
 
@@ -98,7 +96,8 @@ def test_criterion_04_state_weight_monotonicity():
             T = float(rng.uniform(0.2, 3.0))
             t = float(rng.uniform(0.0, 0.8 * T))
             y = float(rng.uniform(-2.0, 2.0))
-            prof = fk_profile(m, grid, T=T, t=t, y=y)
+            query = StrategyQuery(t=t, T=T, y=y)
+            prof = np.array([optimal_fraction(m, a, query).f for a in grid])
             assert np.all(np.diff(prof[:, -1]) >= -1e-9)
             assert np.all(np.diff(prof[:, 0]) <= 1e-9)
 

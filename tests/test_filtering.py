@@ -13,7 +13,6 @@ from bayesmerton import (
     simulate_filter_sde,
 )
 from bayesmerton.csvout import CHUNK_ROWS, write_columns
-from bayesmerton.filtering import export_trajectory_csv
 
 from oracles import numpy_filter_sde
 
@@ -255,28 +254,3 @@ class TestWriteColumns:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             write_columns(io.StringIO(), ["a", "b"], [np.zeros(3), np.zeros(4)])
-
-
-class TestTrajectoryExport:
-    def test_columns_and_determinism(self, toy):
-        path = simulate_filter_sde(toy, 1, 0.5, 0.01, seed=21)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        export_trajectory_csv(toy, path, buf_a)
-        export_trajectory_csv(toy, path, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
-        header = buf_a.getvalue().splitlines()[0]
-        assert header == "time,y,p_1,p_2,p_3,posterior_mean"
-        assert len(buf_a.getvalue().splitlines()) == path.times.size + 1
-
-    def test_cells_are_reprs_of_the_path(self, toy):
-        path = simulate_filter_sde(toy, 2, 0.5, 0.01, seed=4)
-        buf = io.StringIO()
-        export_trajectory_csv(toy, path, buf)
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
-        for i, row in enumerate(rows):
-            probs = path.probs[i].tolist()
-            mean = 0.0
-            for p, mu in zip(probs, toy.mus.tolist()):
-                mean += p * mu  # summed in state order
-            expected = [path.times[i], path.y[i], *probs, mean]
-            assert row == [repr(float(v)) for v in expected]

@@ -20,13 +20,11 @@ import bayesmerton.strategy as strategy_mod
 from bayesmerton.simkit import (
     PROBE_TOL,
     build_feedback_strategy,
-    estimate_utility,
-    export_path_csv,
     export_report_json,
     optimality_check,
-    simulate_paths,
     terminal_wealth,
 )
+from bayesmerton.filtering import _time_grid
 
 
 @pytest.fixture
@@ -56,61 +54,75 @@ def feedback(request):
     return request.getfixturevalue(request.param)
 
 
-def exported(record, j):
-    """Path j as written by export_path_csv: columns time, stock, y, wealth, fraction."""
-    buf = io.StringIO()
-    export_path_csv(record, j, buf)
-    rows = buf.getvalue().splitlines()[1:]
-    return np.array([[float(v) for v in row.split(",")] for row in rows])
+def recorded(model, strategy, T, step, n_paths, seed):
+    """Run ``strategy`` at scale 1 and keep the (t, y, u) of every call it gets.
+
+    Returns the drift indices, log X_T of shape (n_paths,), and the times
+    (n_steps,), observations and fractions (n_steps, n_paths) the stepper
+    passed and got back.  The strategy is called at every grid time but T,
+    so y_T is not among them.
+    """
+    ts, ys, us = [], [], []
+
+    def recording(t, y):
+        u = strategy(t, y)
+        ts.append(t)
+        ys.append(np.array(y))
+        us.append(np.broadcast_to(u, np.shape(y)).copy())
+        return u
+
+    thetas, log_xt = terminal_wealth(model, recording, [1.0], T, step, n_paths, seed)
+    return thetas, log_xt[0], np.array(ts), np.array(ys), np.array(us)
 
 
 class TestSimulatePaths:
     def test_bond_only_is_exact(self, toy):
-        record = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=32, seed=3)
-        assert np.all(record.log_wealth[:, -1] == 0.0)  # r = 0: X_T = x0 exactly
-        for j in range(32):
-            assert np.all(exported(record, j)[:, 3] > 0)
+        _, log_xt = terminal_wealth(toy, lambda t, y: 0.0, [1.0], T=1.0, step=0.01, n_paths=32, seed=3)
+        assert np.all(log_xt[0] == 0.0)  # r = 0: X_T = x0 exactly
+        assert np.all(np.exp(log_xt[0]) > 0)
 
     def test_bond_only_with_interest(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        record = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=1)
-        for log_x in record.log_wealth[:, -1]:
+        _, log_xt = terminal_wealth(m, lambda t, y: 0.0, [1.0], T=2.0, step=0.01, n_paths=8, seed=1)
+        for log_x in log_xt[0]:
             assert math.exp(log_x) == pytest.approx(math.exp(0.03 * 2.0), rel=1e-13)
 
     def test_constant_merton_matches_gbm_closed_form(self):
         """d=1 with the constant Merton fraction: exact log-space scheme."""
         m = new_market(0.02, 0.8, (0.10,), (1.0,))
         pi = merton_fraction(m, 0.10, 0.5)
-        record = simulate_paths(m, lambda t, y: pi, T=2.0, step=1e-3, n_paths=16, seed=11)
-        T = record.times[-1]
-        w_T = record.y[:, -1] - m.gammas[0] * T
+        T, step, n_paths, seed = 2.0, 1e-3, 16, 11
+        _, log_xt = terminal_wealth(m, lambda t, y: pi, [1.0], T, step, n_paths, seed)
+        # W_T from the documented noise stream: one standard_normal(n_paths) per step
+        noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        n_steps = _time_grid(T, step).size - 1
+        w_T = np.zeros(n_paths)
+        for _ in range(n_steps):
+            w_T += noise.standard_normal(n_paths) * math.sqrt(T / n_steps)
         closed = (m.r + (m.mus[0] - m.r) * pi - 0.5 * m.sigma**2 * pi**2) * T + m.sigma * pi * w_T
-        np.testing.assert_allclose(record.log_wealth[:, -1], closed, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(log_xt[0], closed, rtol=0, atol=1e-10)
 
     def test_bitwise_determinism(self, toy):
-        a = simulate_paths(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
-        b = simulate_paths(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
-        np.testing.assert_array_equal(a.theta_index, b.theta_index)
-        np.testing.assert_array_equal(a.log_wealth, b.log_wealth)
-        np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.fraction, b.fraction)
+        a = recorded(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
+        b = recorded(toy, lambda t, y: 0.5, T=0.5, step=0.01, n_paths=10, seed=77)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_wealth_and_stock_positive(self, toy, toy_strategy):
-        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.005, n_paths=64, seed=5)
-        for j in range(64):
-            cols = exported(record, j)
-            assert np.all(cols[:, 3] > 0)
-            assert np.all(cols[:, 1] > 0)
-        assert np.all(record.y[:, 0] == 0.0)
-
-    def test_recorded_log_wealth_equals_terminal_wealth(self, feedback):
-        model = feedback.model
-        record = simulate_paths(model, feedback, T=0.3, step=0.01, n_paths=12, seed=9)
-        thetas, log_xt = terminal_wealth(
-            model, feedback, [1.0, 0.5], T=0.3, step=0.01, n_paths=12, seed=9
+        thetas, log_xt, times, y, u = recorded(
+            toy, toy_strategy, T=1.0, step=0.005, n_paths=64, seed=5
         )
-        np.testing.assert_array_equal(record.theta_index, thetas)
-        np.testing.assert_array_equal(record.log_wealth[:, -1], log_xt[0])
+        # log X at the grid times inside (0, T), rebuilt from the recorded y increments
+        dt = times[1]
+        dw = np.diff(y, axis=0) - toy.gammas[thetas] * dt
+        gain = np.cumsum(u[:-1] * ((toy.mus[thetas] - toy.r) * dt + toy.sigma * dw), axis=0)
+        power = np.cumsum(u[:-1] ** 2 * dt, axis=0)
+        log_x = toy.r * times[1:, None] + gain - 0.5 * toy.sigma**2 * power
+        assert np.all(np.exp(log_x) > 0)
+        assert np.all(np.exp(log_xt) > 0)
+        log_stock = (toy.r - 0.5 * toy.sigma**2) * times[:, None] + toy.sigma * y
+        assert np.all(np.exp(log_stock) > 0)
+        assert np.all(y[0] == 0.0)
 
     def test_memory_does_not_grow_with_steps(self, toy):
         peaks = []
@@ -128,9 +140,9 @@ class TestSimulatePaths:
 
     def test_step_not_dividing_horizon_ends_at_horizon(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        record = simulate_paths(m, lambda t, y: 0.0, T=1.0, step=0.3, n_paths=1, seed=1)
-        assert record.times[-1] == 1.0
-        assert record.times[1] == 1.0 / 3.0
+        assert _time_grid(1.0, 0.3)[-1] == 1.0
+        _, _, times, _, _ = recorded(m, lambda t, y: 0.0, T=1.0, step=0.3, n_paths=1, seed=1)
+        assert times.tolist() == [0.0, 1.0 / 3.0, 2.0 / 3.0]
         _, log_xt = terminal_wealth(m, lambda t, y: 0.0, [1.0], T=1.0, step=0.3, n_paths=4, seed=1)
         np.testing.assert_allclose(log_xt, 0.03 * 1.0, rtol=1e-13)
 
@@ -165,63 +177,68 @@ class TestStepperReference:
 class TestObservationConsistency:
     def test_y_equals_brownian_plus_drift(self, feedback):
         model = feedback.model
-        record = simulate_paths(model, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=4, seed=13)
+        thetas, _, times, y, _ = recorded(
+            model, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=4, seed=13
+        )
         # one noise stream; step i draws one increment per path, in path order
         rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(1,)))
         dw = np.array([rng.standard_normal(4) for _ in range(100)]) * math.sqrt(0.01)
         w = np.vstack((np.zeros(4), np.cumsum(dw, axis=0)))
+        assert y.shape == (100, 4)  # the strategy sees the 100 grid times before T
         for j in range(4):
             np.testing.assert_allclose(
-                record.y[j], w[:, j] + model.gammas[record.theta_index[j]] * record.times,
-                atol=1e-12,
+                y[:, j], w[:100, j] + model.gammas[thetas[j]] * times, atol=1e-12,
             )
 
     def test_posterior_concentrates_on_true_drift(self, toy):
         """At t = 50 / min-gap^2 most paths identify theta (reported check)."""
         horizon = 50.0  # min gamma gap is 1
-        record = simulate_paths(toy, lambda t, y: 0.0, T=horizon, step=0.05, n_paths=400, seed=21)
+        thetas, _, times, y, _ = recorded(
+            toy, lambda t, y: 0.0, T=horizon, step=0.05, n_paths=400, seed=21
+        )
+        t_last = float(times[-1])  # the last grid time the strategy sees, T - step
         hits = 0
-        for y_T, theta in zip(record.y[:, -1], record.theta_index):
-            probs = posterior_weights(toy, horizon, float(y_T))
+        for y_t, theta in zip(y[-1], thetas):
+            probs = posterior_weights(toy, t_last, float(y_t))
             hits += int(np.argmax(probs) == theta)
-        fraction = hits / record.theta_index.size
-        print(f"posterior identification rate at T={horizon}: {fraction:.3f}")
+        fraction = hits / thetas.size
+        print(f"posterior identification rate at t={t_last}: {fraction:.3f}")
         assert fraction > 0.9
 
 
 class TestEstimateUtility:
     def test_bond_only_deterministic_utility(self, toy):
-        record = simulate_paths(toy, lambda t, y: 0.0, T=1.0, step=0.01, n_paths=16, seed=2)
+        _, log_xt = terminal_wealth(toy, lambda t, y: 0.0, [1.0], T=1.0, step=0.01, n_paths=16, seed=2)
         for alpha in (0.5, -0.5):
-            est = estimate_utility(record, alpha)
-            assert est.mean == pytest.approx(1.0 / alpha, rel=1e-14)
-            assert est.std_error == 0.0
-        est_log = estimate_utility(record, 0.0)
-        assert est_log.mean == pytest.approx(0.0, abs=1e-14)
+            mean, se = simkit._mean_and_se(simkit._utilities(log_xt[0], alpha, 1.0))
+            assert mean == pytest.approx(1.0 / alpha, rel=1e-14)
+            assert se == 0.0
+        mean_log, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.0, 1.0))
+        assert mean_log == pytest.approx(0.0, abs=1e-14)
 
     def test_bond_only_with_interest_and_initial_wealth(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
-        record = simulate_paths(m, lambda t, y: 0.0, T=2.0, step=0.01, n_paths=8, seed=2)
+        _, log_xt = terminal_wealth(m, lambda t, y: 0.0, [1.0], T=2.0, step=0.01, n_paths=8, seed=2)
         for alpha in (0.5, -1.5):
-            est = estimate_utility(record, alpha, x0=2.0)
+            mean, se = simkit._mean_and_se(simkit._utilities(log_xt[0], alpha, 2.0))
             expected = (2.0 * math.exp(0.03 * 2.0)) ** alpha / alpha
-            assert est.mean == pytest.approx(expected, rel=1e-12)
-            assert est.std_error == 0.0
+            assert mean == pytest.approx(expected, rel=1e-12)
+            assert se == 0.0
 
     def test_negative_alpha_means_negative_utility(self, toy, toy_strategy):
-        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
-        est = estimate_utility(record, -0.5)
-        assert est.mean < 0.0
+        _, log_xt = terminal_wealth(toy, toy_strategy, [1.0], T=1.0, step=0.01, n_paths=64, seed=4)
+        mean, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], -0.5, 1.0))
+        assert mean < 0.0
 
     def test_initial_wealth_covariance(self, toy, toy_strategy):
         """Power utility scales by x0^alpha, so rankings are x0-free."""
-        record = simulate_paths(toy, toy_strategy, T=1.0, step=0.01, n_paths=64, seed=4)
-        base = estimate_utility(record, 0.5, x0=1.0)
-        scaled = estimate_utility(record, 0.5, x0=4.0)
-        assert scaled.mean == pytest.approx(4.0**0.5 * base.mean, rel=1e-12)
-        log_base = estimate_utility(record, 0.0, x0=1.0)
-        log_scaled = estimate_utility(record, 0.0, x0=4.0)
-        assert log_scaled.mean == pytest.approx(log_base.mean + math.log(4.0), rel=1e-12)
+        _, log_xt = terminal_wealth(toy, toy_strategy, [1.0], T=1.0, step=0.01, n_paths=64, seed=4)
+        base, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.5, 1.0))
+        scaled, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.5, 4.0))
+        assert scaled == pytest.approx(4.0**0.5 * base, rel=1e-12)
+        log_base, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.0, 1.0))
+        log_scaled, _ = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.0, 4.0))
+        assert log_scaled == pytest.approx(log_base + math.log(4.0), rel=1e-12)
 
     def test_optimal_beats_half_scaled(self, toy, toy_strategy):
         """Paired comparison with common random numbers: u* vs 0.5 u*."""
@@ -259,24 +276,23 @@ class TestEstimateUtility:
 
     def test_single_bundle_rejected(self, toy):
         # one path gives no standard error; 0.0 would claim an exact estimate
-        record = simulate_paths(toy, lambda t, y: 1.0, 1.0, 0.01, 1, 3)
+        _, log_xt = terminal_wealth(toy, lambda t, y: 1.0, [1.0], 1.0, 0.01, 1, 3)
         with pytest.raises(ValueError, match="2 samples"):
-            estimate_utility(record, 0.5)
+            simkit._mean_and_se(simkit._utilities(log_xt[0], 0.5, 1.0))
 
     def test_utility_overflow_raises(self, toy):
         # log X_T near -260 at 25x leverage: X_T is a double, X_T^-5 is not
-        record = simulate_paths(toy, lambda t, y: 25.0, 1.0, 0.01, 50, 3)
+        _, log_xt = terminal_wealth(toy, lambda t, y: 25.0, [1.0], 1.0, 0.01, 50, 3)
         with pytest.raises(FloatingPointError, match="overflow"):
-            estimate_utility(record, -5.0)
+            simkit._mean_and_se(simkit._utilities(log_xt[0], -5.0, 1.0))
 
     def test_log_utility_below_double_range(self, toy):
         # 60x leverage drives log X_T near -1800: X_T underflows to 0.0, its log does not
-        record = simulate_paths(toy, lambda t, y: 60.0, 1.0, 0.01, 50, 7)
         _, log_xt = terminal_wealth(toy, lambda t, y: 60.0, [1.0], 1.0, 0.01, 50, 7)
         assert np.all(np.exp(log_xt[0]) == 0.0)
-        est = estimate_utility(record, 0.0)
-        assert est.mean == np.mean(log_xt[0])
-        assert math.isfinite(est.std_error)
+        mean, se = simkit._mean_and_se(simkit._utilities(log_xt[0], 0.0, 1.0))
+        assert mean == np.mean(log_xt[0])
+        assert math.isfinite(se)
 
 
 class TestCachedStrategy:
@@ -418,24 +434,6 @@ class TestOptimalityCheck:
 
 
 class TestExports:
-    def test_path_csv_schema_and_determinism(self, toy):
-        for model in (toy, general_market()):
-            record = simulate_paths(model, lambda t, y: 0.5, T=0.2, step=0.02, n_paths=1, seed=3)
-            a, b = io.StringIO(), io.StringIO()
-            export_path_csv(record, 0, a)
-            export_path_csv(record, 0, b)
-            assert a.getvalue() == b.getvalue()
-            lines = a.getvalue().splitlines()
-            assert lines[0] == "time,stock,y,wealth,fraction"
-            assert len(lines) == record.times.size + 1
-            cols = exported(record, 0)
-            np.testing.assert_array_equal(
-                cols[:, [0, 2, 4]].T, [record.times, record.y[0], record.fraction[0]]
-            )
-            log_stock = (model.r - 0.5 * model.sigma**2) * record.times + model.sigma * record.y[0]
-            np.testing.assert_allclose(cols[:, 1], np.exp(log_stock), rtol=1e-13, atol=0)
-            np.testing.assert_allclose(cols[:, 3], np.exp(record.log_wealth[0]), rtol=1e-13, atol=0)
-
     def test_report_json_round_trip(self, toy):
         report = optimality_check(toy, -0.5, 0.5, [0.8], step=0.01, n_paths=1_000, seed=9)
         buf = io.StringIO()

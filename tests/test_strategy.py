@@ -6,9 +6,7 @@ from bayesmerton import (
     QuadratureConfig,
     QuadratureNotConverged,
     StrategyQuery,
-    fk_profile,
     log_utility_fraction,
-    mc_fraction,
     merton_fraction,
     new_market,
     optimal_fraction,
@@ -16,7 +14,7 @@ from bayesmerton import (
 )
 import bayesmerton.strategy as strategy_mod
 
-from oracles import naive_ratio_u, random_alpha, random_market, two_logsumexp_fk
+from oracles import mc_fraction, naive_ratio_u, random_alpha, random_market, two_logsumexp_fk
 
 
 @pytest.fixture
@@ -342,19 +340,21 @@ class TestNaiveAgreement:
 
 
 class TestStateWeightProfile:
+    GRID = [-0.9, -0.5, 0.2, 0.5, 0.8]
+
+    def profile(self, model):
+        query = StrategyQuery(t=0.0, T=5.0, y=0.0)
+        return np.array([optimal_fraction(model, a, query).f for a in self.GRID])
+
     def test_rows_sum_to_one(self, toy):
-        prof = fk_profile(toy, [-0.9, -0.5, 0.2, 0.5, 0.8], T=5.0, t=0.0, y=0.0)
+        prof = self.profile(toy)
         np.testing.assert_allclose(prof.sum(axis=1), 1.0, atol=1e-10)
 
     def test_monotone_in_alpha(self, toy):
         """Top-state weight grows with alpha, bottom-state weight shrinks."""
-        prof = fk_profile(toy, [-0.9, -0.5, 0.2, 0.5, 0.8], T=5.0, t=0.0, y=0.0)
+        prof = self.profile(toy)
         assert np.all(np.diff(prof[:, -1]) >= -1e-9)
         assert np.all(np.diff(prof[:, 0]) <= 1e-9)
-
-    def test_log_alpha_in_grid_rejected(self, toy):
-        with pytest.raises(InvalidAlpha):
-            fk_profile(toy, [0.5, 0.0], T=5.0, t=0.0, y=0.0)
 
 
 class TestLogUtility:
