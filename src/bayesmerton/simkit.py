@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from typing import Callable, IO, Sequence
 
 import numpy as np
@@ -38,9 +37,9 @@ import numpy as np
 from .filtering import _time_grid
 from .model import MarketModel, UtilitySpec
 from .strategy import (
-    MIN_NODES,
     QuadratureConfig,
     QuadratureNotConverged,
+    _lattice_rows,
     evaluate_points,
     needs_quadrature,
 )
@@ -49,9 +48,6 @@ from .strategy import (
 #: sqrt(T - t) (at least 4, for the cubic blend).
 _Y_POINTS = 2001
 _S_POINTS = 65
-
-#: Every _LEVEL_STRIDE-th y point of a row measures the row's node order.
-_LEVEL_STRIDE = 16
 
 #: Random (t, y) probes at which the cache must match direct evaluation.
 _PROBE_POINTS = 32
@@ -75,16 +71,16 @@ class CachedStrategy:
     u* over a uniform y grid are precomputed on a grid uniform in
     s = sqrt(T - t), where the fraction varies smoothly all the way to
     maturity.  Lookups interpolate cubically across the four nearest rows
-    (the fraction is curved in s; linear rows would need ~10x the build
-    work for the same accuracy) and linearly in y.  The path stepper calls
+    (the fraction is curved in s, so linear rows would need many more rows
+    for the same accuracy) and linearly in y.  The path stepper calls
     it once per time step for all paths and all scaled candidates, so each
     row is blended once per step.  Queries beyond the y span clamp to the
     edge values; ``clamped`` counts them out of ``lookups``, the number of y
     values looked up through calls (the build's probe check does not count).
-    ``row_nodes`` is the per-panel node order each row was built at, 0 for
-    closed-form rows.  ``probe_error`` records the worst interpolation error
-    against direct evaluation at random probe points; construction fails if
-    it exceeds PROBE_TOL.
+    ``row_points`` is the number of lattice points each y of a row sums
+    over, 0 for closed-form rows.  ``probe_error`` records the worst
+    interpolation error against direct evaluation at random probe points;
+    construction fails if it exceeds PROBE_TOL.
     """
 
     def __init__(
@@ -95,7 +91,7 @@ class CachedStrategy:
         s_grid: np.ndarray,
         y_grid: np.ndarray,
         table: np.ndarray,
-        row_nodes: np.ndarray,
+        row_points: np.ndarray,
     ):
         self.model = model
         self.alpha = alpha
@@ -103,7 +99,7 @@ class CachedStrategy:
         self._s_grid = s_grid
         self._y_grid = y_grid
         self._table = table
-        self.row_nodes = row_nodes
+        self.row_points = row_points
         self._ds = s_grid[1] - s_grid[0]
         self._dy = y_grid[1] - y_grid[0]
         self.probe_error: float | None = None
@@ -156,55 +152,43 @@ def build_feedback_strategy(
 ) -> CachedStrategy:
     """Tabulate the optimal feedback fraction for fast path simulation.
 
-    Each row is built at the node order it measurably needs.  The doubling
-    loop of ``evaluate_points`` runs from MIN_NODES on every _LEVEL_STRIDE-th
-    y point of every row; a row's order is the coarser level of the
-    agreeing pair of its slowest point, and one single-level
-    ``evaluate_points`` call per distinct order fills those rows.  Where no
-    point needs quadrature (d = 1 or alpha = 0) there is no search, and one
-    call fills the table from the closed form; under alpha = 0 its t = 0 row
-    keeps the continuum posterior, so rows stay continuous in t.  A
-    doubling-verified call from ``quad.nodes`` at ``_PROBE_POINTS`` random
-    (t, y) points must match the interpolation to PROBE_TOL.
+    Where points need quadrature, ``strategy._lattice_rows`` fills the
+    table: every row shares T, so each is a Gaussian-weighted sum over one
+    lattice of log F(T, .) and posterior means at T.  Otherwise (d = 1 or
+    alpha = 0) one ``evaluate_points`` call fills it from the closed form;
+    under alpha = 0 its t = 0 row keeps the continuum posterior, so rows
+    stay continuous in t.  A doubling-verified call from ``quad.nodes`` at
+    ``_PROBE_POINTS`` random (t, y) points must match the interpolation to
+    PROBE_TOL.
 
-    Error budget: points off the measured subsample can miss ``quad.rel_tol``
-    a little; rows sit within about 1.3 ``rel_tol`` of doubling-verified
-    values (1.31e-9 at rel_tol 1e-9 on the toy market at alpha -5, T 20).
-    PROBE_TOL is the bound the build enforces.
+    Error budget: lattice rows sit within 1e-10 relative of
+    doubling-verified values, plus the evaluator's roundoff floor (the
+    tests check every 8th y of every row on six markets; the worst there is
+    5.6e-12, on the toy market at alpha 0.5, T 50).  Interpolation between
+    rows errs far more, and PROBE_TOL is the bound the build enforces.
 
     Raises
     ------
+    ValueError
+        Unless T > 0: the grids span sqrt(T) and 10 sigma sqrt(T).
     QuadratureNotConverged
-        If a point of the order search or a probe hits the node cap.
+        If a probe hits the node cap.
     CacheProbeFailed
         If the worst probe error reaches PROBE_TOL.
     """
+    if not T > 0.0:
+        raise ValueError(f"the strategy table needs T > 0, got {T}")
     y_span = default_y_span(model, T)
     y_grid = np.linspace(-y_span, y_span, _Y_POINTS)
     s_grid = np.linspace(0.0, math.sqrt(T), _S_POINTS)
-    t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
     if needs_quadrature(model, alpha):
-        _, _, failed, nodes = evaluate_points(
-            model, alpha, t_rows, T, y_grid[::_LEVEL_STRIDE], replace(quad, nodes=MIN_NODES)
-        )
-        if failed.any():
-            raise QuadratureNotConverged(
-                f"{int(failed.sum())} points of the table's node search did not converge"
-            )
-        # a point reports the finer level of its agreeing pair, closed-form points 0
-        row_nodes = nodes.max(axis=1) // 2
-        table = np.empty((s_grid.size, y_grid.size))
-        for n in np.unique(row_nodes).tolist():
-            rows = row_nodes == n
-            table[rows] = evaluate_points(
-                model, alpha, t_rows[rows], T, y_grid, replace(quad, nodes=n or quad.nodes),
-                doubling=False,
-            )[0]
+        table, row_points = _lattice_rows(model, alpha, T, s_grid, y_grid)
     else:
         # one call, so the closed-form build holds no second table in memory
-        row_nodes = np.zeros(s_grid.size, dtype=np.int32)
-        table = evaluate_points(model, alpha, t_rows, T, y_grid, quad, doubling=False)[0]
-    strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table, row_nodes)
+        t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
+        row_points = np.zeros(s_grid.size, dtype=np.int64)
+        table = evaluate_points(model, alpha, t_rows, T, y_grid, quad)[0]
+    strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table, row_points)
 
     rng = np.random.default_rng(_PROBE_SEED)
     probes = rng.uniform([0.0, -y_span], [T, y_span], size=(_PROBE_POINTS, 2))
@@ -313,7 +297,8 @@ def optimality_check(
     within 3 paired standard errors.  Its ``step`` is the step simulated,
     ``T / round(T / step)``, ``clamped_frac`` is the fraction of the
     simulation's strategy lookups that fell outside the cache's y span, and
-    ``table_nodes`` lists the node order of each cache row from s = 0 up.
+    ``table_points`` lists the lattice points each y of a cache row sums
+    over, from s = 0 up (0 for closed-form rows).
     Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
     utilities that overflow double range raise FloatingPointError.
     """
@@ -354,7 +339,7 @@ def optimality_check(
         "reference_scale": float(reference_scale),
         "probe_error": float(base.probe_error),
         "clamped_frac": base.clamped / base.lookups,
-        "table_nodes": base.row_nodes.tolist(),
+        "table_points": base.row_points.tolist(),
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),

@@ -29,24 +29,34 @@ even for horizons of 10^4 and |gamma| of 10.
 The posterior state weights at the shifted observation y + z sqrt(T-t),
 which the numerator needs, are the responsibilities q_k phi_k(z) / sum_j
 q_j phi_j(z) of that same mixture, so the kernel gets them from the
-shifted terms it already forms.  One evaluator, :func:`evaluate_points`,
-serves every caller: it takes broadcast arrays of (t, T, y) points and
-doubles the node count with a mask per point, so each point stops at its own
-first level that agrees with the previous one, and it reports the node count
-each point took; the strategy cache measures each table row's order from
-those counts on a subsample of the row.  It is also the one home of
-the posterior-mean Merton closed form, exact at t = T, for d = 1, and under
-log utility (alpha = 0) at every horizon.
+shifted terms it already forms.  One point evaluator, :func:`evaluate_points`,
+serves every caller that asks for points: it takes broadcast arrays of
+(t, T, y) points and doubles the node count with a mask per point, so each
+point stops at its own first level that agrees with the previous one, and
+it reports the node count each point took.  It is also the one home of the
+posterior-mean Merton closed form, exact at t = T, for d = 1, and under log
+utility (alpha = 0) at every horizon.
+
+The strategy cache's table needs u* on a whole (t, y) grid at one horizon,
+and there the same ratio is cheaper in the original coordinate:
+
+    v*(t, T, y) = E[H m](y + W) / E[H](y + W),      W ~ N(0, T - t),
+
+with log H = log F(T, x) / (1 - alpha) and m(x) the posterior mean of gamma
+at (T, x).  Neither depends on t, so :func:`_lattice_rows` computes both
+once on a uniform lattice that extends the table's y grid, and every row is
+a Gaussian-weighted trapezoid sum over lattice points, max-shifted per y.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .filtering import logsumexp, posterior_weights
+from .filtering import log_normalizer, logsumexp, posterior_weights
 from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
@@ -59,6 +69,18 @@ MIN_NODES = 8
 #: Working-set bound of the quadrature kernel in (point x node x state)
 #: entries; larger chunks raise peak memory without running faster.
 _CHUNK_ENTRIES = 16_384
+
+#: Lattice rows of the strategy table: a row's lattice step is at most its
+#: s = sqrt(T - t) over _ROW_RES and _GAP_STEP over the largest gap between
+#: adjacent gammas, and each mixture component's window reaches _WINDOW s
+#: either side of the component's tilted centre.
+_ROW_RES = 1.5
+_GAP_STEP = 0.5
+_WINDOW = 9.0
+
+#: Working-set bound of a lattice row in (y point x lattice offset) entries;
+#: a quarter or four times as many ran slower on 2001-point rows.
+_LATTICE_ENTRIES = 65_536
 
 
 @cache
@@ -78,9 +100,10 @@ class QuadratureConfig:
     ``nodes`` is the per-panel Gauss-Legendre order that direct evaluations
     (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
     probes) start doubling from, at least MIN_NODES; the strategy cache's
-    table measures its own order per row instead.  ``half_width`` is the
-    panel half-width in effective standard deviations, ``rel_tol`` the
-    agreement target between successive node doublings.
+    table runs no Gauss-Legendre quadrature (see :func:`_lattice_rows`).
+    ``half_width`` is the panel half-width in effective standard
+    deviations, ``rel_tol`` the agreement target between successive node
+    doublings.
     """
 
     nodes: int = 64
@@ -132,6 +155,19 @@ def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, 
     )
     means = gam * np.sqrt(T_col - t_col) / one_minus
     return log_q - logsumexp(log_q)[..., None], means
+
+
+def _state_sum(f: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k f[..., k] values[k], accumulated from k = 0 up; shape (...).
+
+    Each step is one rounded product and one rounded add, as in a Python
+    loop from 0.0, so the result does not depend on which BLAS dot kernel
+    the host dispatches.
+    """
+    out = np.zeros(f.shape[:-1])
+    for k, v in enumerate(values.tolist()):
+        out += f[..., k] * v
+    return out
 
 
 def needs_quadrature(model: MarketModel, alpha: float) -> bool:
@@ -201,6 +237,102 @@ def _fk_level(
     return out
 
 
+def _lattice_rows(
+    model: MarketModel,
+    alpha: float,
+    T: float,
+    s_grid: np.ndarray,
+    y_grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """u* at t = T - s^2 over uniform grids of s (from 0) and y; (table, points).
+
+    ``table[j, i]`` is u*(T - s_j^2, T, y_i), and ``points[j]`` the number of
+    lattice points each y of row j sums over (0 for row 0, the closed form).
+    With b = 1 / (1 - alpha), log H = b log F(T, x) and m(x) the posterior
+    mean of gamma at (T, x), v* = E[H m](y + W) / E[H](y + W) with
+    W ~ N(0, s^2).  Both are computed once on a lattice of step dx = dy / q,
+    which holds every y of the grid and reaches past it as far as any row's
+    window does.  Row 0 is m at the grid itself, bit-equal to the closed
+    form of :func:`evaluate_points` at t = T.
+
+    Row j sums over lattice offsets of step h = k dx, the largest multiple
+    of dx up to min(s / _ROW_RES, _GAP_STEP / max gap of gamma); q is the
+    smallest count that puts the first row's bound within dx.  That is the
+    trapezoid rule on the Gaussian-weighted integrand, which converges
+    geometrically once h resolves both the Gaussian and the posterior's
+    switches between states.  Component k of F^b times the Gaussian peaks
+    at y + s^2 b gamma_k with spread s, and F^b lies between the largest
+    component's b-th power and d^b times it, so the union of the windows
+    s^2 b gamma_k +- _WINDOW s holds the sums to their tails.  Each y's log
+    terms are shifted by their largest before the exp, so nothing leaves
+    double range, and the (y x offset) working set is chunked to
+    _LATTICE_ENTRIES entries.
+    """
+    b = 1.0 / (1.0 - alpha)
+    gam = model.gammas
+    dy = float(y_grid[1] - y_grid[0])
+    step_cap = _GAP_STEP / float(np.diff(gam).max())
+    # the first row's step bound holds for every row, so every k below is >= 1
+    q = math.ceil(dy / min(float(s_grid[1]) / _ROW_RES, step_cap))
+    dx = dy / q
+    rows = []  # (s, lattice stride k, step h, merged offset ranges [lo, hi])
+    for s in s_grid[1:].tolist():
+        k = max(1, int(min(s / _ROW_RES, step_cap) / dx))
+        h = k * dx
+        centre = s * s * b * gam
+        lows = np.ceil((centre - _WINDOW * s) / h).astype(np.int64).tolist()
+        highs = np.floor((centre + _WINDOW * s) / h).astype(np.int64).tolist()
+        segments: list[list[int]] = []
+        for lo, hi in zip(lows, highs):  # centres ascend with gamma
+            if segments and lo <= segments[-1][1] + 1:
+                segments[-1][1] = max(segments[-1][1], hi)
+            else:
+                segments.append([lo, hi])
+        rows.append((s, k, h, segments))
+
+    ny = y_grid.size
+    base = max(0, -min(seg[0][0] * k for _, k, _, seg in rows))  # lattice index of y_grid[0]
+    reach = max(0, max(seg[-1][1] * k for _, k, _, seg in rows))
+    on_grid = slice(base, base + (ny - 1) * q + 1, q)
+    x = y_grid[0] + (np.arange(base + (ny - 1) * q + reach + 1) - base) * dx
+    x[on_grid] = y_grid
+    log_h = b * log_normalizer(model, T, x)
+    m = _state_sum(posterior_weights(model, T, x), gam)
+
+    scale = model.sigma * (1.0 - alpha)
+    table = np.empty((s_grid.size, ny))
+    table[0] = m[on_grid] / scale
+    points = np.zeros(s_grid.size, dtype=np.int64)
+    strided = np.lib.stride_tricks.as_strided
+    item = x.itemsize
+    for j, (s, k, h, segments) in enumerate(rows, start=1):
+        points[j] = sum(hi - lo + 1 for lo, hi in segments)
+        # (y x offset) views per segment: y_i + o h sits at lattice index
+        # base + i q + o k, which base and reach keep inside the lattice
+        windows = []
+        for lo, hi in segments:
+            shape, steps = (ny, hi - lo + 1), (q * item, k * item)
+            windows.append((
+                strided(log_h[base + lo * k :], shape, steps),
+                strided(m[base + lo * k :], shape, steps),
+                -0.5 * (np.arange(lo, hi + 1) * (h / s)) ** 2,
+            ))
+        chunk = max(1, _LATTICE_ENTRIES // int(points[j]))
+        for i0 in range(0, ny, chunk):
+            part = slice(i0, i0 + chunk)
+            terms = [log_h_view[part] + gauss for log_h_view, _, gauss in windows]
+            top = np.max([term.max(axis=1) for term in terms], axis=0)[:, None]
+            num = den = 0.0
+            for term, (_, m_view, _) in zip(terms, windows):
+                term -= top
+                np.exp(term, out=term)
+                den = den + term.sum(axis=1)
+                term *= m_view[part]
+                num = num + term.sum(axis=1)
+            table[j, part] = num / den / scale
+    return table, points
+
+
 def evaluate_points(
     model: MarketModel,
     alpha: float,
@@ -208,21 +340,19 @@ def evaluate_points(
     T,
     y,
     quad: QuadratureConfig = QuadratureConfig(),
-    doubling: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """u*, f, a failure flag and the node count at broadcast arrays of points (t, T, y).
 
     Points with t = T, and all points unless :func:`needs_quadrature`, take
     the posterior-mean Merton closed form f = posterior_weights(model, t, y)
-    (the prior where T = 0), u = f @ gamma / (sigma (1 - alpha)), and report
-    0 nodes; the rest run the quadrature.  With ``doubling``, the per-panel
-    node count doubles from ``quad.nodes`` and each point stops at its own
-    first level whose u* agrees with the previous level's to
-    ``quad.rel_tol``; the finer value wins and its node count is reported,
-    so the coarser level of the agreeing pair is half of it.  Points still
-    moving at the node cap come back NaN and flagged, reporting the cap.
-    Without ``doubling``, every point gets the single level ``quad.nodes``
-    and none is flagged.
+    (the prior where T = 0), u = f . gamma / (sigma (1 - alpha)), and report
+    0 nodes; the rest run the quadrature.  The per-panel node count doubles
+    from ``quad.nodes`` and each point stops at its own first level whose u*
+    agrees with the previous level's to ``quad.rel_tol``; the finer value
+    wins and its node count is reported, so the coarser level of the
+    agreeing pair is half of it.  Points still moving at the node cap come
+    back NaN and flagged, reporting the cap.  Every f . gamma is summed in
+    state order by :func:`_state_sum`.
 
     Returns ``(u, f, failed, nodes)`` with shapes ``(...)``, ``(..., d)``,
     ``(...)``, ``(...)``.
@@ -258,9 +388,9 @@ def evaluate_points(
     u_prev = None
     while todo.size:
         f_n = _fk_level(model, alpha, t, T, y, n, quad.half_width)
-        u_n = f_n @ gam / scale
+        u_n = _state_sum(f_n, gam) / scale
         if u_prev is None:
-            done = np.full(todo.size, not doubling)
+            done = np.zeros(todo.size, dtype=bool)
         else:
             done = np.abs(u_n - u_prev) <= quad.rel_tol * np.maximum(
                 np.abs(u_n), np.abs(u_prev)
@@ -274,7 +404,7 @@ def evaluate_points(
             nodes[todo] = n
             break
         n *= 2
-    u = f @ gam / scale
+    u = _state_sum(f, gam) / scale
     return (
         u.reshape(shape), f.reshape(shape + (model.d,)), failed.reshape(shape), nodes.reshape(shape)
     )
@@ -309,9 +439,8 @@ def optimal_fraction(
         raise QuadratureNotConverged(f"u_star did not settle to rel_tol {quad.rel_tol}")
     u, myopic = float(u), float(myopic)
     f.setflags(write=False)
-    return StrategyValue(
-        u_star=u, v_star=float(f @ model.gammas), f=f, myopic=myopic, hedging=u - myopic
-    )
+    v = float(_state_sum(f, model.gammas))
+    return StrategyValue(u_star=u, v_star=v, f=f, myopic=myopic, hedging=u - myopic)
 
 
 def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:

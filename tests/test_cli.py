@@ -508,7 +508,7 @@ class TestOptcheck:
         report = json.loads((out_dir / "optcheck.json").read_text())
         assert report["undominated"] is True
 
-    def test_byte_identical_reruns_with_table_nodes(self, tmp_path, out_dir, capsys):
+    def test_byte_identical_reruns_with_table_points(self, tmp_path, out_dir, capsys):
         cfg = write_config(
             tmp_path, out_dir,
             query={"t": 0.0, "T": 1.0, "y": 0.0},
@@ -519,8 +519,8 @@ class TestOptcheck:
         first = (out_dir / "optcheck.json").read_bytes()
         assert main(["--config", cfg, "optcheck"]) == 0
         assert (out_dir / "optcheck.json").read_bytes() == first
-        nodes = json.loads(first)["table_nodes"]
-        assert nodes[0] == 0 and all(n in (8, 16, 32, 64) for n in nodes[1:])
+        points = json.loads(first)["table_points"]
+        assert points[0] == 0 and all(n > 0 for n in points[1:])
 
     def test_wrong_reference_exit_4(self, tmp_path, out_dir):
         cfg = write_config(

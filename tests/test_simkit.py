@@ -345,46 +345,81 @@ class TestCachedStrategy:
 
 
 class TestRightSizedTable:
-    """Each cache row is built at the node order its subsample measured."""
+    """Each cache row sums over one shared lattice at a step and window sized to its s."""
 
-    @pytest.fixture(scope="class")
-    def market(self):
-        return new_market(0.01, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
-
-    @pytest.mark.parametrize("alpha", [0.5, -2.0])
-    def test_rows_match_doubling_verified_values(self, market, alpha):
+    @pytest.mark.parametrize(
+        "market, alpha, T",
+        [
+            pytest.param("general", 0.5, 1.0, id="0.5"),
+            pytest.param("general", -2.0, 1.0, id="-2.0"),
+            # the row-level node search missed rel_tol here: 1.31e-9
+            pytest.param("toy", -5.0, 20.0, id="toy-alpha-5-T20"),
+            # sigma 2: the first row needs a lattice finer than the y grid
+            pytest.param("sigma2", 0.5, 1.0, id="sigma2"),
+            pytest.param("wide", -3.0, 4.0, id="wide-alpha-3-T4"),
+            pytest.param("toy", 0.5, 50.0, id="toy-T50"),
+        ],
+    )
+    def test_rows_match_doubling_verified_values(self, toy, market, alpha, T):
+        """Every 8th y of every row within 1e-10 relative of doubling-verified u*."""
+        model = {
+            "general": general_market(),
+            "toy": toy,
+            "sigma2": new_market(0.0, 2.0, (2.0, 4.0, 6.0), (0.3, 0.3, 0.4)),
+            # gammas from 0.2 to 9.95, adjacent gaps up to 5.5
+            "wide": new_market(0.01, 0.2, (0.05, 0.3, 0.9, 2.0), (0.25,) * 4),
+        }[market]
         quad = QuadratureConfig()
-        strat = build_feedback_strategy(market, alpha, 1.0, quad)
-        assert strat.row_nodes[0] == 0  # s = 0: the maturity closed form
-        assert set(strat.row_nodes[1:].tolist()) <= {8, 16, 32, 64, 128}
-        t_rows = np.maximum(1.0 - strat._s_grid**2, 0.0)[:, None]
+        strat = build_feedback_strategy(model, alpha, T, quad)
+        t_rows = np.maximum(T - strat._s_grid**2, 0.0)[:, None]
         y = strat._y_grid[::8]
-        direct, _, failed, _ = strategy_mod.evaluate_points(market, alpha, t_rows, 1.0, y, quad)
+        direct, _, failed, _ = strategy_mod.evaluate_points(model, alpha, t_rows, T, y, quad)
         assert not failed.any()
-        # the evaluator's roundoff floor on top of the agreement target
-        atol = 1e-13 * (np.abs(market.gammas).max() / (market.sigma * (1.0 - alpha)) + 1.0)
+        # the evaluator's roundoff floor on top of the relative target
+        atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * (1.0 - alpha)) + 1.0)
         err = np.abs(strat._table[:, ::8] - direct)
-        assert np.all(err <= quad.rel_tol * np.abs(direct) + atol)
+        assert np.all(err <= 1e-10 * np.abs(direct) + atol)
+        # s = 0 is the maturity closed form, bit for bit
+        np.testing.assert_array_equal(
+            strat._table[0], strategy_mod.evaluate_points(model, alpha, T, T, strat._y_grid)[0]
+        )
+        assert strat.row_points[0] == 0 and np.all(strat.row_points[1:] > 0)
 
-    def test_order_varies_by_row(self, toy):
-        strat = build_feedback_strategy(toy, -5.0, 20.0)
-        assert strat.row_nodes[0] == 0
-        assert 64 in strat.row_nodes.tolist()
-        assert len(set(strat.row_nodes[1:].tolist())) > 1
+    def test_working_set_does_not_grow_with_horizon(self, toy):
+        peaks = []
+        for T in (1.0, 50.0):
+            tracemalloc.start()
+            try:
+                build_feedback_strategy(toy, 0.5, T)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_zero_horizon_rejected(self, toy):
+        # no grid spans sqrt(T) = 0; an optcheck at T = 0 exits 2 naming T
+        for alpha in (0.5, 0.0):
+            with pytest.raises(ValueError, match="T > 0"):
+                build_feedback_strategy(toy, alpha, 0.0)
 
     def test_closed_form_builds_run_no_quadrature(self, toy, monkeypatch):
         calls = []
-        real = strategy_mod._fk_level
+        real_fk, real_rows = strategy_mod._fk_level, simkit._lattice_rows
 
-        def counted(*args):
-            calls.append(args[2].size)
-            return real(*args)
+        def counted_fk(*args):
+            calls.append("fk")
+            return real_fk(*args)
 
-        monkeypatch.setattr(strategy_mod, "_fk_level", counted)
+        def counted_rows(*args):
+            calls.append("lattice")
+            return real_rows(*args)
+
+        monkeypatch.setattr(strategy_mod, "_fk_level", counted_fk)
+        monkeypatch.setattr(simkit, "_lattice_rows", counted_rows)
         d1 = new_market(0.0, 1.0, (1.0,), (1.0,))
         for model, alpha in ((toy, 0.0), (d1, 0.5)):
             strat = build_feedback_strategy(model, alpha, 1.0)
-            assert strat.row_nodes.tolist() == [0] * strat._s_grid.size
+            assert strat.row_points.tolist() == [0] * strat._s_grid.size
         assert calls == []
 
 
@@ -397,13 +432,13 @@ class TestOptimalityCheck:
         assert {s["scale"] for s in report["strategies"]} == {1.0, 0.5, 2.0}
         assert all(not p["dominates_reference"] for p in report["paired"])
         assert report["clamped_frac"] == 0.0  # toy paths stay inside the y span
-        nodes = report["table_nodes"]
-        assert len(nodes) == simkit._S_POINTS and nodes[0] == 0  # s = 0 is closed form
-        assert all(n >= 8 and n & (n - 1) == 0 for n in nodes[1:])
+        points = report["table_points"]
+        assert len(points) == simkit._S_POINTS and points[0] == 0  # s = 0 is closed form
+        assert all(isinstance(n, int) and n > 0 for n in points[1:])
 
-    def test_log_utility_table_nodes_are_zero(self, toy):
+    def test_log_utility_table_points_are_zero(self, toy):
         report = optimality_check(toy, 0.0, 1.0, [0.5], step=0.01, n_paths=200, seed=5)
-        assert report["table_nodes"] == [0] * simkit._S_POINTS
+        assert report["table_points"] == [0] * simkit._S_POINTS
 
     def test_trivial_perturbation_set(self, toy):
         report = optimality_check(toy, -0.5, 1.0, [1.0], step=0.01, n_paths=2_000, seed=5)

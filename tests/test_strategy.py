@@ -190,6 +190,21 @@ class TestKernelReference:
             np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=1e-14)
 
 
+class TestStateSum:
+    def test_bit_equal_to_python_left_to_right_sum(self):
+        rng = np.random.default_rng(19)
+        for d in range(1, 21):
+            values = rng.normal(0.0, 3.0, size=d)
+            f = rng.dirichlet(np.ones(d), size=50)
+            f[0] = -0.0  # a zero sum keeps the sign Python's 0.0 start gives it
+            got = strategy_mod._state_sum(f, values)
+            for row, g in zip(f, got):
+                acc = 0.0
+                for fk, vk in zip(row.tolist(), values.tolist()):
+                    acc += fk * vk
+                assert np.float64(acc).tobytes() == g.tobytes()
+
+
 class TestGridEvaluator:
     def test_matches_scalar_calls(self, toy, monkeypatch):
         ys = np.array([-3.0, -0.5, 0.0, 1.2, 4.0])
@@ -232,10 +247,10 @@ class TestGridEvaluator:
             # the reported count is the level whose value came back
             n = int(nodes[i])
             assert n >= 16 and n & (n - 1) == 0
-            single = strategy_mod.evaluate_points(
-                toy, 0.5, t[i], 1.0, 0.3, QuadratureConfig(nodes=n), doubling=False
+            f = strategy_mod._fk_level(
+                toy, 0.5, t[i : i + 1], np.array([1.0]), np.array([0.3]), n, 10.0
             )
-            assert single[0] == u[i] and single[3] == n
+            assert strategy_mod._state_sum(f, toy.gammas)[0] / (toy.sigma * 0.5) == u[i]
         assert strategy_mod.evaluate_points(toy, 0.0, t, 1.0, 0.3)[3].tolist() == [0, 0, 0]
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
         _, _, failed, capped = strategy_mod.evaluate_points(
