@@ -41,7 +41,7 @@ class SweepResult:
 
     ``failed`` marks horizons whose quadrature did not converge (their
     u value is NaN); ``first_within_gap`` is the index of the first
-    successful horizon with gap/|limit| below ``gap_tol``, or None.
+    successful horizon with gap/|limit| below CONVERGENCE_GAP, or None.
     """
 
     horizons: np.ndarray
@@ -51,7 +51,6 @@ class SweepResult:
     within_gap: np.ndarray
     failed: np.ndarray
     first_within_gap: int | None
-    gap_tol: float
 
 
 def limit_fraction(model: MarketModel, alpha: float) -> float:
@@ -196,7 +195,6 @@ def horizon_sweep(
     y: float,
     horizons,
     quad: QuadratureConfig = QuadratureConfig(),
-    gap_tol: float = CONVERGENCE_GAP,
 ) -> SweepResult:
     """u*(t, T, y) across a horizon grid with gaps to the predicted limit.
 
@@ -221,7 +219,7 @@ def horizon_sweep(
     u_values, _, failed, _ = evaluate_points(model, alpha, t, horizons_arr, y, quad)
     gaps = np.abs(u_values - limit)
     with np.errstate(invalid="ignore"):
-        within = (gaps / abs(limit) < gap_tol) & ~failed if limit != 0.0 else gaps < gap_tol
+        within = (gaps / abs(limit) < CONVERGENCE_GAP) & ~failed
     hits = np.nonzero(within)[0]
     first = int(hits[0]) if hits.size else None
     for arr in (horizons_arr, u_values, gaps, within, failed):
@@ -234,7 +232,6 @@ def horizon_sweep(
         within_gap=within,
         failed=failed,
         first_within_gap=first,
-        gap_tol=gap_tol,
     )
 
 

@@ -15,10 +15,10 @@ optional; with the defaults::
       "market": {"r": 0.0, "sigma": 1.0, "mus": [1, 2, 3], "prior": [0.3, 0.3, 0.4]},
       "alpha": 0.5,
       "query": {"t": 0.0, "T": 1.0, "y": 0.0},
-      "quadrature": {"nodes": 64, "rel_tol": 1e-9, "half_width": 10.0},
+      "quadrature": {"nodes": 64},
       "sweep": {"horizons": [1, 2, 4, ..., 1024]},
       "sim": {"step": 0.001 * T, "n_paths": 100000, "seed": 0},
-      "optcheck": {"perturbations": [0.5, 0.8, 1.25, 2.0], "reference_scale": 1.0},
+      "optcheck": {"perturbations": [0.5, 0.8, 1.25, 2.0]},
       "out_dir": "."
     }
 
@@ -42,7 +42,7 @@ from .csvout import write_columns
 from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
 from .model import MarketModel, StrategyQuery, new_market
 from .simkit import CacheProbeFailed, export_report_json, optimality_check
-from .strategy import QuadratureConfig, QuadratureNotConverged, evaluate_points, optimal_fraction
+from .strategy import QuadratureConfig, QuadratureNotConverged, optimal_fraction
 
 _NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, CacheProbeFailed, FloatingPointError)
 
@@ -66,7 +66,6 @@ class RunConfig:
     n_paths: int
     seed: int
     perturbations: tuple[float, ...]
-    reference_scale: float
     out_dir: Path
 
 
@@ -116,14 +115,11 @@ _FIELDS = (
     ("query.T", _real, 1.0),
     ("query.y", _real, 0.0),
     ("quadrature.nodes", _integer, 64),
-    ("quadrature.rel_tol", _real, 1e-9),
-    ("quadrature.half_width", _real, 10.0),
     ("sweep.horizons", _numbers, tuple(default_horizons().tolist())),
     ("sim.step", _real, _STEP_OF_T),
     ("sim.n_paths", _integer, 100_000),
     ("sim.seed", _integer, 0),
     ("optcheck.perturbations", _numbers, (0.5, 0.8, 1.25, 2.0)),
-    ("optcheck.reference_scale", _real, 1.0),
     ("out_dir", Path, "."),
 )
 
@@ -171,11 +167,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
 
     model = new_market(v.pop("r"), v.pop("sigma"), v.pop("mus"), v.pop("prior"))
     try:
-        quad = QuadratureConfig(
-            nodes=v.pop("nodes"), rel_tol=v.pop("rel_tol"), half_width=v.pop("half_width")
-        )
+        quad = QuadratureConfig(nodes=v.pop("nodes"))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"quadrature.nodes: {exc}") from exc
     if v["n_paths"] < 1:
         raise ConfigError(f"sim.n_paths must be >= 1, got {v['n_paths']}")
     if v["seed"] < 0:
@@ -196,19 +190,12 @@ def _sim_step(config: RunConfig) -> float:
 def cmd_eval(config: RunConfig) -> int:
     """Print u*, v*, f_k, myopic term, and hedging demand at the query point."""
     query = StrategyQuery(t=config.t, T=config.T, y=config.y)
-    if config.alpha == 0.0:
-        # log utility: the horizon-free closed form at (t, t, y)
-        u, f, _, _ = evaluate_points(config.model, 0.0, query.t, query.t, query.y)
-        u, v = float(u), float(f @ config.model.gammas)
-        myopic, hedging = u, 0.0
-    else:
-        sv = optimal_fraction(config.model, config.alpha, query, config.quad)
-        u, v, f, myopic, hedging = sv.u_star, sv.v_star, sv.f, sv.myopic, sv.hedging
-    print(f"u_star  = {u:.12g}")
-    print(f"v_star  = {v:.12g}")
-    print("f       = " + " ".join(f"{x:.12g}" for x in f))
-    print(f"myopic  = {myopic:.12g}")
-    print(f"hedging = {hedging:.12g}")
+    sv = optimal_fraction(config.model, config.alpha, query, config.quad)
+    print(f"u_star  = {sv.u_star:.12g}")
+    print(f"v_star  = {sv.v_star:.12g}")
+    print("f       = " + " ".join(f"{x:.12g}" for x in sv.f))
+    print(f"myopic  = {sv.myopic:.12g}")
+    print(f"hedging = {sv.hedging:.12g}")
     return 0
 
 
@@ -216,13 +203,13 @@ def _svg_axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def render_sweep_svg(result: SweepResult, width: int = 720, height: int = 480) -> str:
+def render_sweep_svg(result: SweepResult) -> str:
     """Standalone SVG line chart of the sweep with the limit as a horizontal rule.
 
     The data-to-pixel transform is affine and recorded in the header comment,
     so the polyline can be checked against the CSV rows.
     """
-    margin = 70.0
+    width, height, margin = 720, 480, 70.0  # pixels
     ok = ~result.failed & np.isfinite(result.u_values)
     xs = result.horizons[ok]
     ys = result.u_values[ok]
@@ -345,7 +332,6 @@ def cmd_optcheck(config: RunConfig) -> int:
         n_paths=config.n_paths,
         seed=config.seed,
         quad=config.quad,
-        reference_scale=config.reference_scale,
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     with open(config.out_dir / "optcheck.json", "w") as fh:

@@ -285,13 +285,11 @@ def optimality_check(
     n_paths: int,
     seed: int,
     quad: QuadratureConfig = QuadratureConfig(),
-    reference_scale: float = 1.0,
 ) -> dict:
     """Compare the candidate optimal strategy against scaled perturbations.
 
-    The reference strategy is ``reference_scale * u*`` (the scale exists so
-    tests can plant a deliberately wrong candidate); each perturbation c
-    runs ``c * reference`` on common random numbers.  The report carries
+    The reference strategy is the tabulated u*; each perturbation c runs
+    ``c * u*`` on common random numbers.  The report carries
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
     within 3 paired standard errors.  Its ``step`` is the step simulated,
@@ -307,9 +305,7 @@ def optimality_check(
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
     base = build_feedback_strategy(model, alpha, T, quad)
-    _, log_xt = terminal_wealth(
-        model, base, [c * reference_scale for c in scales], T, step, n_paths, seed
-    )
+    _, log_xt = terminal_wealth(model, base, scales, T, step, n_paths, seed)
     utils = _utilities(log_xt, alpha, 1.0)
 
     strategies_report = []
@@ -336,7 +332,6 @@ def optimality_check(
         "step": float(_time_grid(T, step)[1]),
         "n_paths": int(n_paths),
         "seed": int(seed),
-        "reference_scale": float(reference_scale),
         "probe_error": float(base.probe_error),
         "clamped_frac": base.clamped / base.lookups,
         "table_points": base.row_points.tolist(),

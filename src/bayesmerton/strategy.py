@@ -20,7 +20,7 @@ and weights q_k(T) = p_k exp(gamma_k^2 (T a - t) / (2 (1-a)) + gamma_k y)
 (up to a common constant that cancels in the ratio).  Raised to the power
 1/(1-a), each component decays like a unit-variance Gaussian around its
 mean, for every alpha < 1.  Quadrature therefore runs on per-component
-panels of configurable half-width around those means, clipped at midpoints
+panels of half-width _HALF_WIDTH around those means, clipped at midpoints
 between neighbours, with Gauss-Legendre nodes per panel.  Each node's
 mixture terms are shifted by their largest before one exp pass, and the
 node integrands by theirs, so no intermediate quantity leaves double range
@@ -57,11 +57,15 @@ from functools import cache
 import numpy as np
 
 from .filtering import log_normalizer, logsumexp, posterior_weights
-from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
+from .model import MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
 #: successive evaluations agreeing is flagged as not converged.
 NODE_CAP = 1024
+
+#: Relative agreement target between successive node doublings; the
+#: benchmark's sweep check allows ten times it against mpmath values.
+REL_TOL = 1e-9
 
 #: Smallest per-panel Gauss-Legendre order a quadrature may use.
 MIN_NODES = 8
@@ -69,6 +73,10 @@ MIN_NODES = 8
 #: Working-set bound of the quadrature kernel in (point x node x state)
 #: entries; larger chunks raise peak memory without running faster.
 _CHUNK_ENTRIES = 16_384
+
+#: Quadrature panel half-width in effective standard deviations: the gaps
+#: between panels hold integrand mass below exp(-_HALF_WIDTH^2 / 2) of the peak.
+_HALF_WIDTH = 10.0
 
 #: Lattice rows of the strategy table: a row's lattice step is at most its
 #: s = sqrt(T - t) over _ROW_RES and _GAP_STEP over the largest gap between
@@ -90,7 +98,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class QuadratureNotConverged(RuntimeError):
-    """Successive node doublings kept moving u_star by more than rel_tol."""
+    """Successive node doublings kept moving u_star by more than REL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -99,24 +107,17 @@ class QuadratureConfig:
 
     ``nodes`` is the per-panel Gauss-Legendre order that direct evaluations
     (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
-    probes) start doubling from, at least MIN_NODES; the strategy cache's
-    table runs no Gauss-Legendre quadrature (see :func:`_lattice_rows`).
-    ``half_width`` is the panel half-width in effective standard
-    deviations, ``rel_tol`` the agreement target between successive node
-    doublings.
+    probes) start doubling from, from MIN_NODES to NODE_CAP; the strategy
+    cache's table runs no Gauss-Legendre quadrature (see
+    :func:`_lattice_rows`).  The panel half-width _HALF_WIDTH and the
+    doubling target REL_TOL are fixed.
     """
 
     nodes: int = 64
-    half_width: float = 10.0
-    rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.nodes < MIN_NODES:
-            raise ValueError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        if not MIN_NODES <= self.nodes <= NODE_CAP:
+            raise ValueError(f"nodes must be in [{MIN_NODES}, {NODE_CAP}], got {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,13 @@ def _fk_level(
     T: np.ndarray,
     y: np.ndarray,
     n_nodes: int,
-    half_width: float,
 ) -> np.ndarray:
     """Single-level quadrature of f at points with t < T (1-D arrays); shape (P, d).
 
     Each point gets one Gauss-Legendre panel of ``n_nodes`` nodes per mixture
-    mean, of the given half-width and clipped at the midpoint towards each
+    mean, of half-width _HALF_WIDTH and clipped at the midpoint towards each
     neighbour, so panels never overlap; the omitted inter-panel gaps only
-    ever hold integrand mass below exp(-half_width^2/2) of the peak.
+    ever hold integrand mass below exp(-_HALF_WIDTH^2/2) of the peak.
 
     One exp pass over the (point x state x node) log-joint serves both
     integrands: each node's terms are shifted by their maximum, so the
@@ -210,8 +210,8 @@ def _fk_level(
     for lo in range(0, t.size, chunk):
         part = slice(lo, lo + chunk)
         log_p, means = _stabilized(model, alpha, t[part], T[part], y[part])  # (P, d)
-        a = means - half_width
-        b = means + half_width
+        a = means - _HALF_WIDTH
+        b = means + _HALF_WIDTH
         mid = 0.5 * (means[:, :-1] + means[:, 1:])
         a[:, 1:] = np.maximum(a[:, 1:], mid)
         b[:, :-1] = np.minimum(b[:, :-1], mid)
@@ -348,7 +348,7 @@ def evaluate_points(
     (the prior where T = 0), u = f . gamma / (sigma (1 - alpha)), and report
     0 nodes; the rest run the quadrature.  The per-panel node count doubles
     from ``quad.nodes`` and each point stops at its own first level whose u*
-    agrees with the previous level's to ``quad.rel_tol``; the finer value
+    agrees with the previous level's to REL_TOL; the finer value
     wins and its node count is reported, so the coarser level of the
     agreeing pair is half of it.  Points still moving at the node cap come
     back NaN and flagged, reporting the cap.  Every f . gamma is summed in
@@ -387,12 +387,12 @@ def evaluate_points(
     n = quad.nodes
     u_prev = None
     while todo.size:
-        f_n = _fk_level(model, alpha, t, T, y, n, quad.half_width)
+        f_n = _fk_level(model, alpha, t, T, y, n)
         u_n = _state_sum(f_n, gam) / scale
         if u_prev is None:
             done = np.zeros(todo.size, dtype=bool)
         else:
-            done = np.abs(u_n - u_prev) <= quad.rel_tol * np.maximum(
+            done = np.abs(u_n - u_prev) <= REL_TOL * np.maximum(
                 np.abs(u_n), np.abs(u_prev)
             ) + atol
         f[todo[done]] = f_n[done]
@@ -419,24 +419,25 @@ def optimal_fraction(
     """Optimal feedback fraction u*(t, T, y) with its f decomposition.
 
     Doubles the per-panel node count, starting from ``quad.nodes``, until two
-    successive u* values agree to ``quad.rel_tol``; the finer value wins.
-    t = T and d = 1 short-circuit to the posterior-mean Merton closed form
-    before any quadrature; the myopic term is that form at (t, t, y).
+    successive u* values agree to REL_TOL; the finer value wins.  t = T,
+    d = 1 and alpha = 0 short-circuit to the posterior-mean Merton closed
+    form before any quadrature; the myopic term is that form at (t, t, y).
+    Log utility is horizon-free, so at alpha = 0 u* is the myopic term
+    itself, :func:`log_utility_fraction`, and the hedging demand is 0.
 
     Raises
     ------
     InvalidAlpha
-        For alpha >= 1 or alpha = 0.
+        For alpha >= 1.
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    if UtilitySpec(alpha).is_log:
-        raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
+    T = query.t if UtilitySpec(alpha).is_log else query.T
     (u, myopic), (f, _), (failed, _), _ = evaluate_points(
-        model, alpha, query.t, [query.T, query.t], query.y, quad
+        model, alpha, query.t, [T, query.t], query.y, quad
     )
     if failed:
-        raise QuadratureNotConverged(f"u_star did not settle to rel_tol {quad.rel_tol}")
+        raise QuadratureNotConverged(f"u_star did not settle to rel_tol {REL_TOL}")
     u, myopic = float(u), float(myopic)
     f.setflags(write=False)
     v = float(_state_sum(f, model.gammas))

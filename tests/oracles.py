@@ -94,7 +94,8 @@ def mc_fraction(
     once that is more than a few standard deviations out.  Draws therefore
     come from a defensive mixture proposal, equal weights over N(0, T - t)
     and its d single-Gaussian tilts, with explicit importance weights.
-    Like ``optimal_fraction``, it rejects the log case alpha = 0.
+    It rejects the log case alpha = 0, whose fraction is the closed form
+    ``log_utility_fraction`` with nothing to estimate.
     """
     if UtilitySpec(alpha).is_log:
         raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")

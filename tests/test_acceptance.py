@@ -24,7 +24,7 @@ from bayesmerton.asymptotics import (
     limit_fraction,
     pessimist_lower_bound_f1,
 )
-from bayesmerton.simkit import optimality_check
+from bayesmerton.simkit import CachedStrategy, optimality_check
 
 from oracles import mc_fraction, naive_ratio_u, random_alpha, random_market
 
@@ -180,7 +180,7 @@ def test_criterion_09_filter_agreement():
         assert coarse / fine >= 1.5
 
 
-def test_criterion_10_optimality_monte_carlo():
+def test_criterion_10_optimality_monte_carlo(monkeypatch):
     with _report(10, "u* undominated at 1e5 paths; planted wrong reference detected"):
         for alpha in (0.5, -0.5):
             report = optimality_check(
@@ -188,10 +188,10 @@ def test_criterion_10_optimality_monte_carlo():
                 step=1e-3, n_paths=100_000, seed=2024,
             )
             assert report["undominated"] is True
-        wrong = optimality_check(
-            TOY, 0.5, 1.0, [0.5], step=1e-3, n_paths=20_000, seed=2024,
-            reference_scale=2.0,
-        )
+        # the planted wrong candidate simulates twice the tabulated u*
+        lookup = CachedStrategy.__call__
+        monkeypatch.setattr(CachedStrategy, "__call__", lambda self, t, y: 2.0 * lookup(self, t, y))
+        wrong = optimality_check(TOY, 0.5, 1.0, [0.5], step=1e-3, n_paths=20_000, seed=2024)
         assert wrong["undominated"] is False
 
 

@@ -163,8 +163,8 @@ class TestHorizonSweep:
     def test_failed_rows_are_flagged_and_kept(self, toy, monkeypatch):
         real = strategy_mod._fk_level
 
-        def flaky(model, alpha, t, T, y, n_nodes, half_width):
-            f = real(model, alpha, t, T, y, n_nodes, half_width)
+        def flaky(model, alpha, t, T, y, n_nodes):
+            f = real(model, alpha, t, T, y, n_nodes)
             f[T == 4.0] = np.nan  # planted failure: this row never settles
             return f
 

@@ -135,6 +135,15 @@ class TestEval:
         assert (config.n_paths, config.seed, config.quad.nodes) == (20, 3, 32)
         assert type(config.seed) is int
 
+    def test_node_count_above_cap_rejected(self, tmp_path, out_dir):
+        # leggauss(n) builds an n x n matrix, so an unbounded count is an
+        # unbounded allocation; loading alone runs no quadrature
+        cap = strategy.NODE_CAP
+        config = cli.load_config(write_config(tmp_path, out_dir, quadrature={"nodes": cap}))
+        assert config.quad.nodes == cap
+        with pytest.raises(cli.ConfigError, match=r"^quadrature\.nodes: "):
+            cli.load_config(write_config(tmp_path, out_dir, quadrature={"nodes": 2 * cap}))
+
     def test_type_error_in_a_command_propagates(self, tmp_path, out_dir, monkeypatch):
         # a bug of the wrong type inside a command is not a config error
         def broken(*args, **kwargs):
@@ -163,6 +172,10 @@ class TestEval:
         ("optchek", {"optchek": {"perturbations": [0.5]}}),
         ("market.rate", {"market": dict(TOY_MARKET, rate=0.0)}),
         ("query.t", {"query.t": 0.5}),  # a dotted key is not the nested field
+        # removed settings: an old config carrying one exits 2, it is not ignored
+        ("quadrature.rel_tol", {"quadrature": {"rel_tol": 1e-9}}),
+        ("quadrature.half_width", {"quadrature": {"half_width": 10.0}}),
+        ("optcheck.reference_scale", {"optcheck": {"reference_scale": 1.0}}),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, out_dir, capsys, name, extra):
         # a misspelt key would otherwise leave its field at the default
@@ -184,15 +197,15 @@ NUMERIC_FIELDS = {
     "query.T": 1.0,
     "query.y": 0.0,
     "quadrature.nodes": 64,
-    "quadrature.rel_tol": 1e-9,
-    "quadrature.half_width": 10.0,
     "sweep.horizons": [1.0, 2.0, 4.0],
     "sim.step": 1e-3,
     "sim.n_paths": 10,
     "sim.seed": 0,
     "optcheck.perturbations": [0.5, 2.0],
-    "optcheck.reference_scale": 1.0,
 }
+
+#: Config keys that were settings once and are now constants of the engine.
+REMOVED_KEYS = ("quadrature.rel_tol", "quadrature.half_width", "optcheck.reference_scale")
 
 
 def config_with(tmp_path, out_dir, name, value):
@@ -208,9 +221,9 @@ def config_with(tmp_path, out_dir, name, value):
 class TestStrictNumbers:
     @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf],
                              ids=["true", "string", "NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("name", list(NUMERIC_FIELDS))
+    @pytest.mark.parametrize("name", [*NUMERIC_FIELDS, *REMOVED_KEYS])
     def test_non_number_exits_2_naming_field(self, tmp_path, out_dir, capsys, name, bad):
-        value = NUMERIC_FIELDS[name]
+        value = NUMERIC_FIELDS.get(name, bad)
         if isinstance(value, list):
             value = value[:1] + [bad] + value[2:]
         else:
@@ -219,7 +232,11 @@ class TestStrictNumbers:
         assert main(["--config", cfg, "eval"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert err["message"].startswith(f"{name}: ")
+        if name in REMOVED_KEYS:
+            # the key check comes before any value check
+            assert err["message"] == f"unknown config key {name}"
+        else:
+            assert err["message"].startswith(f"{name}: ")
 
     @pytest.mark.parametrize("flag, text, name", [
         ("--step", "inf", "sim.step"),
@@ -255,24 +272,21 @@ FLAGS = {
     "--T": ("3", 3.0, lambda c: c.T),
     "--y": ("-1.5", -1.5, lambda c: c.y),
     "--nodes": ("16", 16, lambda c: c.quad.nodes),
-    "--rel-tol": ("1e-7", 1e-7, lambda c: c.quad.rel_tol),
-    "--half-width": ("8", 8.0, lambda c: c.quad.half_width),
     "--horizons": ("3,5", (3.0, 5.0), lambda c: c.horizons),
     "--step": ("0.002", 0.002, lambda c: c.step),
     "--n-paths": ("7", 7, lambda c: c.n_paths),
     "--seed": ("11", 11, lambda c: c.seed),
     "--perturbations": ("0.9,1.1", (0.9, 1.1), lambda c: c.perturbations),
-    "--reference-scale": ("1.5", 1.5, lambda c: c.reference_scale),
     "--out-dir": ("elsewhere", Path("elsewhere"), lambda c: c.out_dir),
 }
 
 #: A file value for every flag's field, each different from its flag's value.
 FILE_VALUES = {
     "query": {"t": 0.1, "T": 2.0, "y": 0.3},
-    "quadrature": {"nodes": 32, "rel_tol": 1e-8, "half_width": 9.0},
+    "quadrature": {"nodes": 32},
     "sweep": {"horizons": [1, 2]},
     "sim": {"step": 0.01, "n_paths": 10, "seed": 4},
-    "optcheck": {"perturbations": [0.5], "reference_scale": 1.0},
+    "optcheck": {"perturbations": [0.5]},
 }
 
 
@@ -298,6 +312,14 @@ class TestFlags:
         assert listed == {"--help", "--config", *FLAGS}
         fields = {name for name, _, _ in cli._FIELDS if not name.startswith("market.")}
         assert {"--" + name.rpartition(".")[2].replace("_", "-") for name in fields} == set(FLAGS)
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--half-width", "--reference-scale"])
+    def test_removed_flag_exits_2(self, tmp_path, out_dir, capsys, flag):
+        cfg = write_config(tmp_path, out_dir)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, f"{flag}=1", "eval"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}=1" in capsys.readouterr().err
 
 
 def run_module(*args):
@@ -388,9 +410,9 @@ class TestSweep:
 
     def test_every_horizon_failed_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
         monkeypatch.setattr(strategy, "NODE_CAP", 16)
+        monkeypatch.setattr(strategy, "REL_TOL", 1e-15)
         cfg = write_config(
-            tmp_path, out_dir,
-            quadrature={"nodes": 8, "rel_tol": 1e-15}, sweep={"horizons": [1, 2, 4]},
+            tmp_path, out_dir, quadrature={"nodes": 8}, sweep={"horizons": [1, 2, 4]},
         )
         assert main(["--config", cfg, "sweep"]) == 3
         assert capsys.readouterr().err == (
@@ -522,12 +544,17 @@ class TestOptcheck:
         points = json.loads(first)["table_points"]
         assert points[0] == 0 and all(n > 0 for n in points[1:])
 
-    def test_wrong_reference_exit_4(self, tmp_path, out_dir):
+    def test_wrong_reference_exit_4(self, tmp_path, out_dir, monkeypatch):
+        # planted wrong candidate: the simulated reference is twice the table
+        lookup = simkit.CachedStrategy.__call__
+        monkeypatch.setattr(
+            simkit.CachedStrategy, "__call__", lambda self, t, y: 2.0 * lookup(self, t, y)
+        )
         cfg = write_config(
             tmp_path, out_dir,
             query={"t": 0.0, "T": 1.0, "y": 0.0},
             sim={"step": 0.01, "n_paths": 20000, "seed": 5},
-            optcheck={"perturbations": [0.5], "reference_scale": 2.0},
+            optcheck={"perturbations": [0.5]},
         )
         assert main(["--config", cfg, "optcheck"]) == 4
         report = json.loads((out_dir / "optcheck.json").read_text())

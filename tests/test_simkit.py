@@ -445,10 +445,18 @@ class TestOptimalityCheck:
         assert report["undominated"] is True
         assert report["paired"] == []
 
-    def test_wrong_reference_detected(self, toy):
-        report = optimality_check(
-            toy, 0.5, 1.0, [0.5], step=0.01, n_paths=20_000, seed=5, reference_scale=2.0
+    def test_wrong_reference_detected(self, toy, toy_strategy, monkeypatch):
+        # planted wrong candidate: the simulated reference is twice the table;
+        # the build's probe check reads the table through _lookup, so it passes
+        lookup = simkit.CachedStrategy.__call__
+        plain = terminal_wealth(toy, toy_strategy, [2.0, 1.0], 1.0, 0.01, 500, 5)[1]
+        monkeypatch.setattr(
+            simkit.CachedStrategy, "__call__", lambda self, t, y: 2.0 * lookup(self, t, y)
         )
+        # doubling is exact in binary: c (2 u*) runs bit for bit as (2 c) u*
+        doubled = terminal_wealth(toy, toy_strategy, [1.0, 0.5], 1.0, 0.01, 500, 5)[1]
+        assert doubled.tobytes() == plain.tobytes()
+        report = optimality_check(toy, 0.5, 1.0, [0.5], step=0.01, n_paths=20_000, seed=5)
         assert report["undominated"] is False
 
     def test_single_state_merton_undominated(self):

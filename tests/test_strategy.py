@@ -126,11 +126,18 @@ class TestQuadratureValues:
             assert abs(sv.f.sum() - 1.0) < 1e-8
 
     def test_log_case_rejected(self, toy):
-        # the power-utility entry points; evaluate_points itself takes alpha = 0
-        with pytest.raises(InvalidAlpha):
-            optimal_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0))
+        # the oracle estimates the power-utility ratio only
         with pytest.raises(InvalidAlpha):
             mc_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0), 100, seed=0)
+
+    def test_log_case_is_the_log_utility_fraction(self, toy):
+        # horizon-free: the myopic term itself, at t = 0 the prior for every y
+        for t, T, y in ((0.0, 1.0, 0.0), (0.0, 5.0, 1.2), (0.2, 1.0, 0.5), (0.7, 0.7, -0.3)):
+            sv = optimal_fraction(toy, 0.0, StrategyQuery(t, T, y))
+            assert sv.u_star == sv.myopic == log_utility_fraction(toy, t, y)
+            assert sv.hedging == 0.0
+            assert sv.v_star == strategy_mod._state_sum(sv.f, toy.gammas)
+            np.testing.assert_array_equal(sv.f, posterior_weights(toy, t, 0.0 if t == 0.0 else y))
 
     def test_alpha_one_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
@@ -140,9 +147,9 @@ class TestQuadratureValues:
 
     def test_not_converged_at_tiny_cap(self, toy, monkeypatch):
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
-        quad = QuadratureConfig(nodes=8, rel_tol=1e-12)
+        monkeypatch.setattr(strategy_mod, "REL_TOL", 1e-12)
         with pytest.raises(QuadratureNotConverged):
-            optimal_fraction(toy, -0.5, StrategyQuery(0.0, 40.0, 0.0), quad)
+            optimal_fraction(toy, -0.5, StrategyQuery(0.0, 40.0, 0.0), QuadratureConfig(nodes=8))
 
     def test_bitwise_repeatable(self, toy):
         q = StrategyQuery(0.1, 3.0, -0.4)
@@ -155,9 +162,7 @@ class TestQuadratureValues:
         with pytest.raises(ValueError):
             QuadratureConfig(nodes=4)
         with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(half_width=-1.0)
+            QuadratureConfig(nodes=strategy_mod.NODE_CAP + 1)
 
 
 def close_drift_market(rng):
@@ -183,7 +188,7 @@ class TestKernelReference:
             t = T * (1.0 - gap)
             y = rng.normal(0.0, 2.0, size=24) * np.sqrt(T)
             n = int(rng.choice([8, 16, 64]))
-            got = strategy_mod._fk_level(m, alpha, t, T, y, n, 10.0)
+            got = strategy_mod._fk_level(m, alpha, t, T, y, n)
             ref = two_logsumexp_fk(m, alpha, t, T, y, n, 10.0)
             assert np.all(np.isfinite(ref))
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
@@ -216,8 +221,9 @@ class TestGridEvaluator:
         # every batched row equals the point evaluated alone, failed flag
         # included; the small cap leaves some rows of the 8-node start unconverged
         rng = np.random.default_rng(41)
+        # built before the cap drops below the default 64 nodes
+        quads = ((QuadratureConfig(), 1e-9), (QuadratureConfig(nodes=8), 1e-12))
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 32)
-        quads = (QuadratureConfig(), QuadratureConfig(nodes=8, rel_tol=1e-12))
         n_failed = 0
         for _ in range(12):
             m = close_drift_market(rng)
@@ -225,7 +231,8 @@ class TestGridEvaluator:
             T = 10.0 ** rng.uniform(-2.0, 4.0, size=6)
             t = T * np.where(rng.random(6) < 0.2, 1.0, rng.random(6))
             y = rng.normal(0.0, 1.0, size=6) * np.sqrt(T)
-            for quad in quads:
+            for quad, rel_tol in quads:
+                monkeypatch.setattr(strategy_mod, "REL_TOL", rel_tol)
                 u, f, failed, _ = strategy_mod.evaluate_points(m, alpha, t, T, y, quad)
                 for i in range(6):
                     try:
@@ -247,14 +254,13 @@ class TestGridEvaluator:
             # the reported count is the level whose value came back
             n = int(nodes[i])
             assert n >= 16 and n & (n - 1) == 0
-            f = strategy_mod._fk_level(
-                toy, 0.5, t[i : i + 1], np.array([1.0]), np.array([0.3]), n, 10.0
-            )
+            f = strategy_mod._fk_level(toy, 0.5, t[i : i + 1], np.array([1.0]), np.array([0.3]), n)
             assert strategy_mod._state_sum(f, toy.gammas)[0] / (toy.sigma * 0.5) == u[i]
         assert strategy_mod.evaluate_points(toy, 0.0, t, 1.0, 0.3)[3].tolist() == [0, 0, 0]
         monkeypatch.setattr(strategy_mod, "NODE_CAP", 16)
+        monkeypatch.setattr(strategy_mod, "REL_TOL", 1e-15)
         _, _, failed, capped = strategy_mod.evaluate_points(
-            toy, 0.5, t, 1.0, 0.3, QuadratureConfig(nodes=8, rel_tol=1e-15)
+            toy, 0.5, t, 1.0, 0.3, QuadratureConfig(nodes=8)
         )
         assert failed.tolist() == [True, True, False]
         assert capped.tolist() == [16, 16, 0]
