@@ -6,19 +6,19 @@ the *smallest* drift for alpha < 0, independently of the prior.  The
 convergence comes with explicit lower bounds on the corresponding extreme
 state weight (f_d resp. f_1); those bounds are implemented here so the
 sandwich "bound <= quadrature value" is checkable at finite horizons.
+The limit is :func:`~bayesmerton.model.merton_fraction` at the extreme
+drift; the CLI writes a sweep's files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
 from .filtering import log_normalizer, logsumexp
-from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec
+from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec, merton_fraction
 from .strategy import QuadratureConfig, _stabilized, evaluate_points
 
 
@@ -70,8 +70,8 @@ def limit_fraction(model: MarketModel, alpha: float) -> float:
         raise InvalidAlpha("alpha = 0: the logarithmic fraction does not depend on T")
     if not model.asymptotics_valid:
         raise HypothesisViolated(f"need r < mu_1, got r={model.r}, mu_1={model.mus[0]}")
-    gamma = model.gammas[-1] if alpha > 0.0 else model.gammas[0]
-    return float(gamma) / (model.sigma * (1.0 - alpha))
+    mu = model.mus[-1] if alpha > 0.0 else model.mus[0]
+    return merton_fraction(model, float(mu), alpha)
 
 
 def jensen_lower_bound_fd(
@@ -239,19 +239,3 @@ def default_horizons(max_horizon: float = 1024.0) -> np.ndarray:
     """Geometric grid 1, 2, 4, ... up to max_horizon."""
     n = int(math.floor(math.log2(max_horizon))) + 1
     return 2.0 ** np.arange(n)
-
-
-def export_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
-    """Write a sweep as CSV: T, u_star, limit, gap, converged_flag."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["T", "u_star", "limit", "gap", "converged_flag"])
-    for i in range(result.horizons.size):
-        writer.writerow(
-            [
-                repr(float(result.horizons[i])),
-                repr(float(result.u_values[i])),
-                repr(float(result.limit)),
-                repr(float(result.gaps[i])),
-                "true" if bool(result.within_gap[i]) else "false",
-            ]
-        )

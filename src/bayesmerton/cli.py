@@ -5,6 +5,9 @@ override individual values (flag > file > documented default).  Every
 command is a pure function of the resolved config, so repeated runs write
 byte-identical CSV/JSON/SVG outputs.
 
+This module owns every output file format (sweep.csv, sweep.svg,
+filter_demo.csv, optcheck.json); the library only computes.
+
 The table ``_FIELDS`` is the schema: every field's dotted name, converter
 and default, and from it every flag.  Numbers must be finite JSON numbers;
 bools, strings, NaN and infinities are ConfigErrors naming the field, and so
@@ -29,19 +32,20 @@ Errors are reported on stderr as one JSON object naming the failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Sequence
 
 import numpy as np
 
-from .asymptotics import SweepResult, default_horizons, export_sweep_csv, horizon_sweep
-from .csvout import write_columns
+from .asymptotics import SweepResult, default_horizons, horizon_sweep
 from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
 from .model import MarketModel, StrategyQuery, new_market
-from .simkit import CacheProbeFailed, export_report_json, optimality_check
+from .simkit import CacheProbeFailed, _theta_indices, optimality_check
 from .strategy import QuadratureConfig, QuadratureNotConverged, optimal_fraction
 
 _NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, CacheProbeFailed, FloatingPointError)
@@ -199,6 +203,48 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
+#: Rows converted and written per ``stream.write`` call by :func:`write_columns`;
+#: bounds the text held in memory to one chunk whatever the row count.
+CHUNK_ROWS = 2048
+
+
+def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> None:
+    """Write a header line, then one row per index of the equal-length float columns.
+
+    Cells are ``repr(float)``, exact and never quoted, so the bytes equal
+    those of ``csv.writer`` given the same strings.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = columns[0].size
+    if any(c.shape != (n_rows,) for c in columns):
+        raise ValueError("columns must be 1-D and of equal length")
+    stream.write(",".join(header) + "\n")
+    for start in range(0, n_rows, CHUNK_ROWS):
+        rows = np.column_stack([c[start : start + CHUNK_ROWS] for c in columns]).tolist()
+        stream.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
+def export_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
+    """Write a sweep as CSV: T, u_star, limit, gap, converged_flag."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["T", "u_star", "limit", "gap", "converged_flag"])
+    for i in range(result.horizons.size):
+        writer.writerow(
+            [
+                repr(float(result.horizons[i])),
+                repr(float(result.u_values[i])),
+                repr(float(result.limit)),
+                repr(float(result.gaps[i])),
+                "true" if bool(result.within_gap[i]) else "false",
+            ]
+        )
+
+
+def export_report_json(report: dict, stream: IO[str]) -> None:
+    """Write an optimality report as sorted JSON; NaN or inf raise ValueError, writing nothing."""
+    stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def _svg_axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
@@ -299,8 +345,7 @@ def cmd_sweep(config: RunConfig) -> int:
 def cmd_filter_demo(config: RunConfig) -> int:
     """Simulate one filter path; write Euler and closed-form posteriors side by side."""
     model = config.model
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    true_index = int(rng.choice(model.d, p=model.prior))
+    true_index = int(_theta_indices(model, 1, config.seed)[0])  # as path 0 of optcheck
     path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
 
     closed = posterior_weights(model, path.times, path.y)

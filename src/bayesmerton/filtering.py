@@ -56,14 +56,19 @@ class FilterPath:
     step: float
 
 
+def _n_steps(T: float, step: float) -> int:
+    """``max(1, round(T / step))``: both simulators take steps of ``T / n_steps``."""
+    if step <= 0.0 or T <= 0.0:
+        raise ValueError("step and T must be positive")
+    return max(1, int(round(T / step)))
+
+
 def _time_grid(T: float, step: float) -> np.ndarray:
-    """``max(1, round(T / step))`` equal steps from 0 to exactly T, for both simulators.
+    """The ``_n_steps(T, step) + 1`` times ``i * (T / n_steps)``, the last exactly T.
 
     ``times[1]`` is the step actually simulated, ``T / n_steps``.
     """
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("step and T must be positive")
-    n_steps = max(1, int(round(T / step)))
+    n_steps = _n_steps(T, step)
     times = np.arange(n_steps + 1) * (T / n_steps)
     times[-1] = T
     return times

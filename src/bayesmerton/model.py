@@ -157,7 +157,8 @@ def new_market(r, sigma, mus, prior) -> MarketModel:
 def merton_fraction(model: MarketModel, mu: float, alpha: float) -> float:
     """Optimal constant fraction (mu - r) / (sigma^2 (1 - alpha)) for known drift.
 
-    Independent of time, horizon, and wealth.
+    Independent of time, horizon, and wealth.  Formed as gamma / (sigma (1 - alpha)),
+    with ``MarketModel.gammas``' rounding of gamma, as u* is.
     """
     util = UtilitySpec(alpha)
-    return (mu - model.r) / (model.sigma**2 * (1.0 - util.alpha))
+    return (mu - model.r) / model.sigma / (model.sigma * (1.0 - util.alpha))

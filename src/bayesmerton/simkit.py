@@ -12,13 +12,15 @@ time and calls the strategy once per step with every path's observation.
 Two running sums per path, ``gain = sum u_i ((mu_theta - r) dt + sigma dW_i)``
 and ``power = sum u_i^2 dt``, give
 ``log X_T = r T + c gain - sigma^2 c^2 power / 2`` for every scaled candidate
-``c * strategy``, so memory is a few ``n_paths`` vectors at any step count.
-The grid has ``n_steps = max(1, round(T / step))`` steps of ``T / n_steps``,
-so it ends exactly at ``T``.
+``c * strategy``.  The grid has ``n_steps = filtering._n_steps(T, step)``
+steps of ``dt = T / n_steps``, so it ends exactly at ``T``; step ``i`` runs
+at time ``i dt`` and no grid array is built, so memory is a few ``n_paths``
+vectors at any step count.
 
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
 come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
-(one vector draw in path order), and step ``i``'s Brownian increments are
+(one vector draw in path order, :func:`_theta_indices`; the CLI's filter
+demo simulates the drift of path 0), and step ``i``'s Brownian increments are
 one ``standard_normal(n_paths)`` draw, element ``j`` for path ``j``, from one
 generator seeded with ``SeedSequence(seed, spawn_key=(1,))``.  Runs with the
 same seed therefore share noise path by path regardless of strategy, which is
@@ -28,13 +30,12 @@ pairwise summation over full per-path arrays.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Callable, IO, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import _time_grid
+from .filtering import _n_steps
 from .model import MarketModel, UtilitySpec
 from .strategy import (
     QuadratureConfig,
@@ -228,11 +229,10 @@ def terminal_wealth(
     same noise (common random numbers), which makes the per-path utility
     differences directly comparable.
     """
-    times = _time_grid(T, step)
+    n_steps = _n_steps(T, step)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_steps = times.size - 1
-    dt = float(times[1])
+    dt = T / n_steps
     sqrt_dt = math.sqrt(dt)
     thetas = _theta_indices(model, n_paths, seed)
     noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -240,13 +240,13 @@ def terminal_wealth(
     gam_dt = model.gammas[thetas] * dt
     y, gain, power = np.zeros((3, n_paths))
     for i in range(n_steps):
-        u = strategy(float(times[i]), y)
+        u = strategy(i * dt, y)
         dw = noise.standard_normal(n_paths) * sqrt_dt
         gain += u * (excess_dt + model.sigma * dw)
         power += u * u * dt
         y = y + (dw + gam_dt)
     c = np.asarray(scales, dtype=float)[:, None]
-    return thetas, model.r * times[-1] + c * gain - 0.5 * model.sigma**2 * c * c * power
+    return thetas, model.r * T + c * gain - 0.5 * model.sigma**2 * c * c * power
 
 
 def _utilities(log_x_terminal: np.ndarray, alpha: float, x0: float) -> np.ndarray:
@@ -329,7 +329,7 @@ def optimality_check(
     return {
         "alpha": float(alpha),
         "T": float(T),
-        "step": float(_time_grid(T, step)[1]),
+        "step": T / _n_steps(T, step),
         "n_paths": int(n_paths),
         "seed": int(seed),
         "probe_error": float(base.probe_error),
@@ -339,8 +339,3 @@ def optimality_check(
         "paired": paired,
         "undominated": bool(undominated),
     }
-
-
-def export_report_json(report: dict, stream: IO[str]) -> None:
-    """Write an optimality report as sorted JSON; NaN or inf raise ValueError, writing nothing."""
-    stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -56,7 +56,7 @@ from functools import cache
 
 import numpy as np
 
-from .filtering import log_normalizer, logsumexp, posterior_weights
+from .filtering import _log_joint, log_normalizer, logsumexp, posterior_weights
 from .model import MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
@@ -141,20 +141,17 @@ def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, 
 
     Components share the variance 1 / (1 - alpha); the kernel and the pessimist
     bound both read the mixture from here.  The weights are the filter posterior
-    at tau = (t - alpha T) / (1 - alpha), which tends to -inf as T grows for
-    alpha in (0, 1), putting the weight on the best drift (the optimist), and
-    to +inf for alpha < 0, putting it on the worst drift (the pessimist).
+    at y and the effective time tau = (t - alpha T) / (1 - alpha): the filter's
+    own log-joint ``filtering._log_joint`` at (tau, y), normalized.  tau tends
+    to -inf as T grows for alpha in (0, 1), putting the weight on the best
+    drift (the optimist), and to +inf for alpha < 0, putting it on the worst
+    drift (the pessimist).
     """
     one_minus = 1.0 - alpha
-    gam = model.gammas
-    t_col = np.asarray(t, dtype=float)[..., None]
-    T_col = np.asarray(T, dtype=float)[..., None]
-    log_q = (
-        np.log(model.prior)
-        + 0.5 * gam * gam * (T_col * alpha - t_col) / one_minus
-        + gam * np.asarray(y, dtype=float)[..., None]
-    )
-    means = gam * np.sqrt(T_col - t_col) / one_minus
+    t = np.asarray(t, dtype=float)
+    T = np.asarray(T, dtype=float)
+    log_q = _log_joint(model, (t - alpha * T) / one_minus, y)
+    means = model.gammas * np.sqrt(T - t)[..., None] / one_minus
     return log_q - logsumexp(log_q)[..., None], means
 
 

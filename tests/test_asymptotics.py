@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from bayesmerton.asymptotics import (
     InvalidLambda,
     admissible_lambda_interval,
     default_horizons,
-    export_sweep_csv,
     horizon_sweep,
     jensen_lower_bound_fd,
     limit_fraction,
@@ -181,18 +178,3 @@ class TestHorizonSweep:
             horizon_sweep(toy, 0.5, 0.0, 0.0, [2.0, 1.0])
         with pytest.raises(ValueError):
             horizon_sweep(toy, 0.5, 5.0, 0.0, [1.0, 2.0])
-
-
-class TestSweepExport:
-    def test_csv_schema_and_determinism(self, toy):
-        sweep = horizon_sweep(toy, 0.5, 0.0, 0.0, [1.0, 2.0, 4.0])
-        a, b = io.StringIO(), io.StringIO()
-        export_sweep_csv(sweep, a)
-        export_sweep_csv(sweep, b)
-        assert a.getvalue() == b.getvalue()
-        lines = a.getvalue().splitlines()
-        assert lines[0] == "T,u_star,limit,gap,converged_flag"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert float(first[0]) == 1.0
-        assert float(first[2]) == 6.0

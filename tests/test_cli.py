@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -9,13 +10,21 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bayesmerton.cli as cli
 import bayesmerton.simkit as simkit
 import bayesmerton.strategy as strategy
-from bayesmerton import new_market, posterior_weights
-from bayesmerton.cli import main
+from bayesmerton import new_market, optimality_check, posterior_weights
+from bayesmerton.asymptotics import horizon_sweep
+from bayesmerton.cli import (
+    CHUNK_ROWS,
+    export_report_json,
+    export_sweep_csv,
+    main,
+    write_columns,
+)
 
 
 TOY_MARKET = {"r": 0.0, "sigma": 1.0, "mus": [1.0, 2.0, 3.0], "prior": [0.3, 0.3, 0.4]}
@@ -27,6 +36,11 @@ def write_config(tmp_path, out_dir, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return str(path)
+
+
+@pytest.fixture
+def toy():
+    return new_market(**TOY_MARKET)
 
 
 @pytest.fixture
@@ -599,3 +613,76 @@ class TestOptcheck:
         assert error["error"] == "FloatingPointError"
         assert "overflow" in error["message"]
         assert not (out_dir / "optcheck.json").exists()
+
+
+class TestWriteColumns:
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, 2.0, -7.0, float("inf"), float("-inf")]
+
+    def test_bytes_match_csv_writer_of_reprs(self):
+        n_rows = 2 * CHUNK_ROWS + 37  # crosses two chunk boundaries
+        rng = np.random.default_rng(8)
+        columns = [
+            np.resize(self.SPECIAL, n_rows),
+            np.resize(self.SPECIAL[::-1], n_rows),
+            rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+            np.arange(n_rows, dtype=float),
+        ]
+        header = ["a", "b", "c", "d"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+        got = io.StringIO()
+        write_columns(got, header, columns)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_one_write_per_chunk(self):
+        n_rows = 2 * CHUNK_ROWS + 1
+
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stream = Counting()
+        write_columns(stream, ["x"], [np.zeros(n_rows)])
+        assert stream.writes == 1 + 3  # header, then three chunks
+        assert stream.getvalue().count("\n") == n_rows + 1
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            write_columns(io.StringIO(), ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+class TestSweepExport:
+    def test_csv_schema_and_determinism(self, toy):
+        sweep = horizon_sweep(toy, 0.5, 0.0, 0.0, [1.0, 2.0, 4.0])
+        a, b = io.StringIO(), io.StringIO()
+        export_sweep_csv(sweep, a)
+        export_sweep_csv(sweep, b)
+        assert a.getvalue() == b.getvalue()
+        lines = a.getvalue().splitlines()
+        assert lines[0] == "T,u_star,limit,gap,converged_flag"
+        assert len(lines) == 4
+        first = lines[1].split(",")
+        assert float(first[0]) == 1.0
+        assert float(first[2]) == 6.0
+
+
+class TestExports:
+    def test_report_json_round_trip(self, toy):
+        report = optimality_check(toy, -0.5, 0.5, [0.8], step=0.01, n_paths=1_000, seed=9)
+        buf = io.StringIO()
+        export_report_json(report, buf)
+        parsed = json.loads(buf.getvalue())
+        assert parsed["undominated"] == report["undominated"]
+        assert parsed["strategies"][0]["scale"] == 1.0
+
+    def test_report_json_rejects_nan(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            export_report_json({"mean": float("nan")}, buf)
+        assert buf.getvalue() == ""

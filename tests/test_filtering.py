@@ -1,6 +1,3 @@
-import csv
-import io
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from bayesmerton import (
     posterior_weights,
     simulate_filter_sde,
 )
-from bayesmerton.csvout import CHUNK_ROWS, write_columns
 
 from oracles import numpy_filter_sde
 
@@ -212,45 +208,3 @@ class TestEulerAgainstNumpyLoop:
             numpy_filter_sde(m, 1, horizon=2.0, step=0.5, seed=0)
         assert str(ours.value) == str(theirs.value)
         assert "at step " in str(ours.value)
-
-
-class TestWriteColumns:
-    SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, 2.0, -7.0, float("inf"), float("-inf")]
-
-    def test_bytes_match_csv_writer_of_reprs(self):
-        n_rows = 2 * CHUNK_ROWS + 37  # crosses two chunk boundaries
-        rng = np.random.default_rng(8)
-        columns = [
-            np.resize(self.SPECIAL, n_rows),
-            np.resize(self.SPECIAL[::-1], n_rows),
-            rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
-            np.arange(n_rows, dtype=float),
-        ]
-        header = ["a", "b", "c", "d"]
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
-        got = io.StringIO()
-        write_columns(got, header, columns)
-        assert got.getvalue() == expected.getvalue()
-
-    def test_one_write_per_chunk(self):
-        n_rows = 2 * CHUNK_ROWS + 1
-
-        class Counting(io.StringIO):
-            writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                return super().write(text)
-
-        stream = Counting()
-        write_columns(stream, ["x"], [np.zeros(n_rows)])
-        assert stream.writes == 1 + 3  # header, then three chunks
-        assert stream.getvalue().count("\n") == n_rows + 1
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(ValueError):
-            write_columns(io.StringIO(), ["a", "b"], [np.zeros(3), np.zeros(4)])

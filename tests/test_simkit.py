@@ -1,5 +1,3 @@
-import io
-import json
 import math
 import tracemalloc
 
@@ -20,7 +18,6 @@ import bayesmerton.strategy as strategy_mod
 from bayesmerton.simkit import (
     PROBE_TOL,
     build_feedback_strategy,
-    export_report_json,
     optimality_check,
     terminal_wealth,
 )
@@ -137,6 +134,26 @@ class TestSimulatePaths:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_memory_independent_of_step_count(self, toy):
+        """With 2 paths nothing sized by the path count hides a per-step array."""
+
+        def run(n_steps):
+            terminal_wealth(
+                toy, lambda t, y: 0.5 + 0.1 * y, [1.0, 0.5], T=1.0, step=1.0 / n_steps,
+                n_paths=2, seed=4,
+            )
+
+        run(2_000)  # warm up: first-call allocations are not per step
+        peaks = []
+        for n_steps in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                run(n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16_000
 
     def test_step_not_dividing_horizon_ends_at_horizon(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
@@ -474,19 +491,3 @@ class TestOptimalityCheck:
     def test_single_path_rejected(self, toy):
         with pytest.raises(ValueError, match="n_paths"):
             optimality_check(toy, 0.0, 1.0, [0.5], step=0.1, n_paths=1, seed=1)
-
-
-class TestExports:
-    def test_report_json_round_trip(self, toy):
-        report = optimality_check(toy, -0.5, 0.5, [0.8], step=0.01, n_paths=1_000, seed=9)
-        buf = io.StringIO()
-        export_report_json(report, buf)
-        parsed = json.loads(buf.getvalue())
-        assert parsed["undominated"] == report["undominated"]
-        assert parsed["strategies"][0]["scale"] == 1.0
-
-    def test_report_json_rejects_nan(self):
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            export_report_json({"mean": float("nan")}, buf)
-        assert buf.getvalue() == ""
