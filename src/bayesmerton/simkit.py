@@ -17,6 +17,10 @@ steps of ``dt = T / n_steps``, so it ends exactly at ``T``; step ``i`` runs
 at time ``i dt`` and no grid array is built, so memory is a few ``n_paths``
 vectors at any step count.
 
+The tabulated optimal strategy, :class:`CachedStrategy`, has a row of u* at
+every time of that same grid, so each step reads one row and interpolates
+only in y.
+
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
 come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
 (one vector draw in path order, :func:`_theta_indices`; the CLI's filter
@@ -30,6 +34,7 @@ pairwise summation over full per-path arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence
 
@@ -37,26 +42,25 @@ import numpy as np
 
 from .filtering import _n_steps
 from .model import MarketModel, UtilitySpec
-from .strategy import (
-    QuadratureConfig,
-    QuadratureNotConverged,
-    _lattice_rows,
-    evaluate_points,
-    needs_quadrature,
-)
+from .strategy import QuadratureConfig, QuadratureNotConverged, _HeatSolve, evaluate_points
 
-#: Strategy-cache table shape: y points across the span, and rows uniform in
-#: sqrt(T - t) (at least 4, for the cubic blend).
-_Y_POINTS = 2001
-_S_POINTS = 65
+#: Working-set bound of the strategy table's stored rows, in entries (2 MiB,
+#: twice the 65 x 2001 table that rows uniform in sqrt(T - t) took): the
+#: rows are kept in segments of consecutive steps of about this size, and
+#: the stepper's first call in a segment solves it again from a checkpoint.
+_SEGMENT_ENTRIES = 1 << 18
 
-#: Random (t, y) probes at which the cache must match direct evaluation.
+#: Probes at which the cache must match direct evaluation: rows at random
+#: grid times, each probed where its cubic in y errs most.
 _PROBE_POINTS = 32
 _PROBE_SEED = 20_060_317
 
 #: Cached-strategy interpolation must reproduce direct evaluation at probe
 #: points to this tolerance.
 PROBE_TOL = 1e-4
+
+#: Times the build halves the lattice step after a failed probe check.
+_HALVINGS = 2
 
 StrategyFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -65,145 +69,159 @@ class CacheProbeFailed(RuntimeError):
     """Cached-strategy interpolation missed direct evaluation by PROBE_TOL or more."""
 
 
-class CachedStrategy:
-    """Feedback fraction u*(t, T, y) tabulated on a (sqrt(T-t), y) grid.
+def _cubic(row: np.ndarray, first: int, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, clamped mask) at y of the Lagrange cubic through the four nodes around y.
 
-    Calling the quadrature per path-step is prohibitively slow, so rows of
-    u* over a uniform y grid are precomputed on a grid uniform in
-    s = sqrt(T - t), where the fraction varies smoothly all the way to
-    maturity.  Lookups interpolate cubically across the four nearest rows
-    (the fraction is curved in s, so linear rows would need many more rows
-    for the same accuracy) and linearly in y.  The path stepper calls
-    it once per time step for all paths and all scaled candidates, so each
-    row is blended once per step.  Queries beyond the y span clamp to the
-    edge values; ``clamped`` counts them out of ``lookups``, the number of y
-    values looked up through calls (the build's probe check does not count).
-    ``row_points`` is the number of lattice points each y of a row sums
-    over, 0 for closed-form rows.  ``probe_error`` records the worst
-    interpolation error against direct evaluation at random probe points;
-    construction fails if it exceeds PROBE_TOL.
+    ``row[j]`` is u* at (first + j) h; y beyond the first or last full stencil clamps.
+    """
+    e = np.diff(row)
+    f = np.diff(e)
+    c3 = np.diff(f) / 6.0
+    c2 = 0.5 * f[:-1]
+    c1 = e[1:-1] - c2 - c3
+    pos = y * (1.0 / h) - (first + 1)
+    clipped = np.clip(pos, 0.0, row.size - 4.0)
+    j = clipped.astype(np.intp)
+    x = clipped - j
+    u = c3.take(j)
+    u *= x
+    u += c2.take(j)
+    u *= x
+    u += c1.take(j)
+    u *= x
+    u += row[1:].take(j)
+    return u, clipped != pos
+
+
+class CachedStrategy:
+    """Feedback fraction u*(t, T, y) from a row of the heat solve at each grid time.
+
+    A call at a grid time i T / n_steps reads row i, and a call between grid
+    times blends the two neighbouring rows linearly in t; in y it takes the
+    Lagrange cubic through the four nearest lattice points.  y beyond a row's
+    band clamps to its edge; ``clamped`` counts those out of ``lookups``, the
+    y values looked up through calls (the build's probe check does not count).
+
+    Rows are kept in segments of consecutive steps of about
+    _SEGMENT_ENTRIES entries: the first segment's rows, and the solve's state
+    at the last step of every segment, from which a call in another segment
+    solves it again, bit for bit.  ``probe_error`` is the worst error at the
+    build's probes.
     """
 
     def __init__(
         self,
-        model: MarketModel,
-        alpha: float,
-        T: float,
-        s_grid: np.ndarray,
-        y_grid: np.ndarray,
-        table: np.ndarray,
-        row_points: np.ndarray,
+        heat: _HeatSolve,
+        segments: list[tuple[int, int]],
+        checkpoints: list[np.ndarray],
+        rows: list[np.ndarray],
+        probe_error: float,
     ):
-        self.model = model
-        self.alpha = alpha
-        self.T = T
-        self._s_grid = s_grid
-        self._y_grid = y_grid
-        self._table = table
-        self.row_points = row_points
-        self._ds = s_grid[1] - s_grid[0]
-        self._dy = y_grid[1] - y_grid[0]
-        self.probe_error: float | None = None
+        self.model, self.alpha, self.T = heat.model, heat.alpha, heat.T
+        self._heat = heat
+        self._segments = segments
+        self._checkpoints = checkpoints
+        self._segment = 0
+        self._rows = rows
+        self.probe_error = probe_error
         self.lookups = 0
         self.clamped = 0
 
-    def _row_for_time(self, t: float) -> np.ndarray:
-        s = math.sqrt(max(self.T - t, 0.0))
-        n = self._s_grid.size
-        pos = min(max(s / self._ds, 0.0), n - 1.0)
-        j0 = min(max(int(pos) - 1, 0), n - 4)
-        x = pos - j0
-        # Lagrange cubic through rows j0..j0+3 at offsets 0..3
-        w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
-        w1 = x * (x - 2.0) * (x - 3.0) / 2.0
-        w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
-        w3 = x * (x - 1.0) * (x - 2.0) / 6.0
-        return (
-            w0 * self._table[j0]
-            + w1 * self._table[j0 + 1]
-            + w2 * self._table[j0 + 2]
-            + w3 * self._table[j0 + 3]
-        )
-
-    def _lookup(self, t: float, y: np.ndarray) -> np.ndarray:
-        row = self._row_for_time(float(t))
-        # uniform-grid linear interpolation in y, clamped at the span edges
-        pos = (y - self._y_grid[0]) / self._dy
-        j = np.clip(pos.astype(np.int64), 0, self._y_grid.size - 2)
-        frac = np.clip(pos - j, 0.0, 1.0)
-        return row[j] * (1.0 - frac) + row[j + 1] * frac
+    def _row(self, i: int) -> np.ndarray:
+        s = bisect.bisect_right(self._segments, i, key=lambda seg: seg[0]) - 1
+        first, last = self._segments[s]
+        if s != self._segment:
+            self._rows = None  # free the old segment before solving the new one
+            self._rows = self._heat.rows(self._checkpoints[s], last, first)[0]
+            self._segment = s
+        return self._rows[i - first]
 
     def __call__(self, t: float, y) -> np.ndarray:
-        y_arr = np.asarray(y, dtype=float)
-        self.lookups += y_arr.size
-        self.clamped += np.count_nonzero((y_arr < self._y_grid[0]) | (y_arr > self._y_grid[-1]))
-        return self._lookup(t, y_arr)
+        y = np.asarray(y, dtype=float)
+        heat = self._heat
+        pos = min(max(float(t) / heat.dt, 0.0), float(heat.n))
+        i = round(pos)
+        if abs(pos - i) <= 1e-9:
+            u, clamped = _cubic(self._row(i), heat.band_lo[i], heat.h, y)
+        else:
+            i = min(int(pos), heat.n - 1)
+            u, clamped = _cubic(self._row(i), heat.band_lo[i], heat.h, y)
+            u1, clamped1 = _cubic(self._row(i + 1), heat.band_lo[i + 1], heat.h, y)
+            u, clamped = u + (pos - i) * (u1 - u), clamped | clamped1
+        self.lookups += y.size
+        self.clamped += np.count_nonzero(clamped)
+        return u
 
 
-def default_y_span(model: MarketModel, T: float) -> float:
-    """Half-span of the strategy cache's y grid: 10 sigma sqrt(T)."""
-    return 10.0 * model.sigma * math.sqrt(T)
+def _segments(heat: _HeatSolve) -> list[tuple[int, int]]:
+    """(first, last) step of each segment: _SEGMENT_ENTRIES entries at most, plus its first row."""
+    number = np.cumsum(heat.band_hi - heat.band_lo + 1) // _SEGMENT_ENTRIES
+    firsts = np.flatnonzero(np.diff(number, prepend=-1)).tolist()
+    return list(zip(firsts, [i - 1 for i in firsts[1:]] + [heat.n]))
 
 
 def build_feedback_strategy(
     model: MarketModel,
     alpha: float,
     T: float,
+    step: float,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CachedStrategy:
-    """Tabulate the optimal feedback fraction for fast path simulation.
+    """Tabulate u* for fast path simulation on the stepper's grid of ``_n_steps(T, step)``.
 
-    Where points need quadrature, ``strategy._lattice_rows`` fills the
-    table: every row shares T, so each is a Gaussian-weighted sum over one
-    lattice of log F(T, .) and posterior means at T.  Otherwise (d = 1 or
-    alpha = 0) one ``evaluate_points`` call fills it from the closed form;
-    under alpha = 0 its t = 0 row keeps the continuum posterior, so rows
-    stay continuous in t.  A doubling-verified call from ``quad.nodes`` at
-    ``_PROBE_POINTS`` random (t, y) points must match the interpolation to
-    PROBE_TOL.
+    One backward heat solve (``strategy._HeatSolve``) fills the rows for
+    every alpha and d.  ``_PROBE_POINTS`` rows at random grid times after 0
+    are each probed mid-cell where their fourth difference is largest, which
+    is where the cubic in y errs most (about 3/128 of that difference); a
+    doubling-verified ``evaluate_points`` call from ``quad.nodes`` there must
+    match the table to PROBE_TOL, and while it does not, the lattice step
+    halves, at most _HALVINGS times.
 
-    Error budget: lattice rows sit within 1e-10 relative of
-    doubling-verified values, plus the evaluator's roundoff floor (the
-    tests check every 8th y of every row on six markets; the worst there is
-    5.6e-12, on the toy market at alpha 0.5, T 50).  Interpolation between
-    rows errs far more, and PROBE_TOL is the bound the build enforces.
+    Error budget: rows sit within about 1e-12 of doubling-verified values at
+    the lattice points (the tests check every 8th point of every 50th row on
+    six markets), so what is left is the cubic in y, which PROBE_TOL bounds.
 
     Raises
     ------
     ValueError
-        Unless T > 0: the grids span sqrt(T) and 10 sigma sqrt(T).
+        Unless T > 0 and step > 0.
     QuadratureNotConverged
         If a probe hits the node cap.
     CacheProbeFailed
-        If the worst probe error reaches PROBE_TOL.
+        If a row is not finite (the tilted solve left double range), or if
+        the worst probe error reaches PROBE_TOL at the finest lattice.
     """
     if not T > 0.0:
         raise ValueError(f"the strategy table needs T > 0, got {T}")
-    y_span = default_y_span(model, T)
-    y_grid = np.linspace(-y_span, y_span, _Y_POINTS)
-    s_grid = np.linspace(0.0, math.sqrt(T), _S_POINTS)
-    if needs_quadrature(model, alpha):
-        table, row_points = _lattice_rows(model, alpha, T, s_grid, y_grid)
-    else:
-        # one call, so the closed-form build holds no second table in memory
-        t_rows = np.maximum(T - s_grid * s_grid, 0.0)[:, None]
-        row_points = np.zeros(s_grid.size, dtype=np.int64)
-        table = evaluate_points(model, alpha, t_rows, T, y_grid, quad)[0]
-    strat = CachedStrategy(model, alpha, T, s_grid, y_grid, table, row_points)
-
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = rng.uniform([0.0, -y_span], [T, y_span], size=(_PROBE_POINTS, 2))
-    direct, _, failed, _ = evaluate_points(model, alpha, probes[:, 0], T, probes[:, 1], quad)
-    if failed.any():
-        raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
-    cached = np.array([strat._lookup(t, np.array([y]))[0] for t, y in probes])
-    worst = float(np.max(np.abs(cached - direct), initial=0.0))
-    strat.probe_error = worst
-    if not worst < PROBE_TOL:
-        raise CacheProbeFailed(
-            f"strategy cache interpolation error {worst:.3e} exceeds {PROBE_TOL}"
-        )
-    return strat
+    n_steps = _n_steps(T, step)
+    at = np.random.default_rng(_PROBE_SEED).integers(1, n_steps + 1, size=_PROBE_POINTS)
+    for halvings in range(_HALVINGS + 1):
+        heat = _HeatSolve(model, alpha, T, n_steps, halvings)
+        segments = _segments(heat)
+        checkpoints = []
+        probes, cached = np.empty((2, _PROBE_POINTS))
+        state = heat.start()
+        for first, last in reversed(segments):
+            checkpoints.append(state)
+            rows = None  # free the last segment's rows before solving this one
+            rows, state = heat.rows(state, last, first)
+            if not all(np.isfinite(row).all() for row in rows):
+                raise CacheProbeFailed("table rows not finite: the solve left double range")
+            for p in np.flatnonzero((first <= at) & (at <= last)).tolist():
+                i = int(at[p])
+                row = rows[i - first]
+                cell = heat.band_lo[i] + 1 + int(np.argmax(np.abs(np.diff(row, 4))))
+                probes[p] = (cell + 0.5) * heat.h
+                cached[p] = _cubic(row, heat.band_lo[i], heat.h, probes[p : p + 1])[0][0]
+            if first:
+                state = heat.back(first - 1, state)
+        direct, _, failed, _ = evaluate_points(model, alpha, at * heat.dt, T, probes, quad)
+        if failed.any():
+            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
+        worst = float(np.max(np.abs(cached - direct)))
+        if worst < PROBE_TOL:
+            return CachedStrategy(heat, segments, checkpoints[::-1], rows, worst)
+    raise CacheProbeFailed(f"strategy cache interpolation error {worst:.3e} exceeds {PROBE_TOL}")
 
 
 def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
@@ -293,10 +311,12 @@ def optimality_check(
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
     within 3 paired standard errors.  Its ``step`` is the step simulated,
-    ``T / round(T / step)``, ``clamped_frac`` is the fraction of the
-    simulation's strategy lookups that fell outside the cache's y span, and
-    ``table_points`` lists the lattice points each y of a cache row sums
-    over, from s = 0 up (0 for closed-form rows).
+    ``T / round(T / step)``.  ``probe_error`` is the table's worst error
+    against direct evaluation at the build's probes,
+    ``clamped_frac`` the fraction of the simulation's strategy lookups that
+    fell outside a table row's band, ``table_step`` the lattice step of the
+    table's heat solve and ``table_points`` the lattice points it convolved
+    over in its n_steps steps.
     Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
     utilities that overflow double range raise FloatingPointError.
     """
@@ -304,7 +324,7 @@ def optimality_check(
     if n_paths < 2:
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
-    base = build_feedback_strategy(model, alpha, T, quad)
+    base = build_feedback_strategy(model, alpha, T, step, quad)
     _, log_xt = terminal_wealth(model, base, scales, T, step, n_paths, seed)
     utils = _utilities(log_xt, alpha, 1.0)
 
@@ -334,7 +354,8 @@ def optimality_check(
         "seed": int(seed),
         "probe_error": float(base.probe_error),
         "clamped_frac": base.clamped / base.lookups,
-        "table_points": base.row_points.tolist(),
+        "table_step": float(base._heat.h),
+        "table_points": int(base._heat.points),
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),

@@ -37,15 +37,13 @@ it reports the node count each point took.  It is also the one home of the
 posterior-mean Merton closed form, exact at t = T, for d = 1, and under log
 utility (alpha = 0) at every horizon.
 
-The strategy cache's table needs u* on a whole (t, y) grid at one horizon,
-and there the same ratio is cheaper in the original coordinate:
-
-    v*(t, T, y) = E[H m](y + W) / E[H](y + W),      W ~ N(0, T - t),
-
-with log H = log F(T, x) / (1 - alpha) and m(x) the posterior mean of gamma
-at (T, x).  Neither depends on t, so :func:`_lattice_rows` computes both
-once on a uniform lattice that extends the table's y grid, and every row is
-a Gaussian-weighted trapezoid sum over lattice points, max-shifted per y.
+The strategy cache's table needs u* at every time of the path stepper's
+grid, and there the ratio is cheaper as a backward heat solve: with
+b = 1 / (1 - alpha) and m(x) the posterior mean of gamma at (T, x),
+G(t, y) = E[F(T, y + W_{T-t})^b] and K(t, y) = E[(F^b (m - gamma_1))(y +
+W_{T-t})] both solve G_t + G_yy / 2 = 0 (the martingale form of Karatzas &
+Zhao 2001), and u* = (gamma_1 + K / G) / (sigma (1 - alpha)).  One step back
+in time is one convolution with the N(0, dt) density (:class:`_HeatSolve`).
 """
 
 from __future__ import annotations
@@ -78,17 +76,22 @@ _CHUNK_ENTRIES = 16_384
 #: between panels hold integrand mass below exp(-_HALF_WIDTH^2 / 2) of the peak.
 _HALF_WIDTH = 10.0
 
-#: Lattice rows of the strategy table: a row's lattice step is at most its
-#: s = sqrt(T - t) over _ROW_RES and _GAP_STEP over the largest gap between
-#: adjacent gammas, and each mixture component's window reaches _WINDOW s
-#: either side of the component's tilted centre.
+#: The strategy table's lattice step is at most sqrt(dt) / _ROW_RES and
+#: _GAP_STEP over the largest gap between adjacent gammas.
 _ROW_RES = 1.5
 _GAP_STEP = 0.5
-_WINDOW = 9.0
 
-#: Working-set bound of a lattice row in (y point x lattice offset) entries;
-#: a quarter or four times as many ran slower on 2001-point rows.
-_LATTICE_ENTRIES = 65_536
+#: Reach of the heat kernel, of each row and of each step's convolution, in
+#: standard deviations: the kernel spans +-_KERNEL_SD sqrt(dt); the row at t
+#: spans the drifts' reach plus _BAND_SD sqrt(t + dt), where the paths go;
+#: and the convolution at t spans the tilted drifts' reach plus _REGION_SD
+#: sqrt(t + dt).  By Cauchy-Schwarz, _BAND_SD sqrt(t + dt) + _KERNEL_SD
+#: sqrt(s - t) is at most hypot(_BAND_SD, _KERNEL_SD) sqrt(s + dt) <=
+#: _REGION_SD sqrt(s + dt), so the region at any later time s holds the
+#: kernel windows of every row before it.
+_KERNEL_SD = 9.0
+_BAND_SD = 8.0
+_REGION_SD = 12.5
 
 
 @cache
@@ -109,7 +112,7 @@ class QuadratureConfig:
     (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
     probes) start doubling from, from MIN_NODES to NODE_CAP; the strategy
     cache's table runs no Gauss-Legendre quadrature (see
-    :func:`_lattice_rows`).  The panel half-width _HALF_WIDTH and the
+    :class:`_HeatSolve`).  The panel half-width _HALF_WIDTH and the
     doubling target REL_TOL are fixed.
     """
 
@@ -166,14 +169,6 @@ def _state_sum(f: np.ndarray, values: np.ndarray) -> np.ndarray:
     for k, v in enumerate(values.tolist()):
         out += f[..., k] * v
     return out
-
-
-def needs_quadrature(model: MarketModel, alpha: float) -> bool:
-    """Whether points with t < T run the quadrature: d > 1 and alpha != 0.
-
-    Otherwise :func:`evaluate_points` takes the closed form at every point.
-    """
-    return model.d > 1 and alpha != 0.0
 
 
 def _fk_level(
@@ -234,100 +229,91 @@ def _fk_level(
     return out
 
 
-def _lattice_rows(
-    model: MarketModel,
-    alpha: float,
-    T: float,
-    s_grid: np.ndarray,
-    y_grid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """u* at t = T - s^2 over uniform grids of s (from 0) and y; (table, points).
+class _HeatSolve:
+    """Rows of u* at the times i T / n_steps from (G, K) on the lattice x_j = j h.
 
-    ``table[j, i]`` is u*(T - s_j^2, T, y_i), and ``points[j]`` the number of
-    lattice points each y of row j sums over (0 for row 0, the closed form).
-    With b = 1 / (1 - alpha), log H = b log F(T, x) and m(x) the posterior
-    mean of gamma at (T, x), v* = E[H m](y + W) / E[H](y + W) with
-    W ~ N(0, s^2).  Both are computed once on a lattice of step dx = dy / q,
-    which holds every y of the grid and reaches past it as far as any row's
-    window does.  Row 0 is m at the grid itself, bit-equal to the closed
-    form of :func:`evaluate_points` at t = T.
-
-    Row j sums over lattice offsets of step h = k dx, the largest multiple
-    of dx up to min(s / _ROW_RES, _GAP_STEP / max gap of gamma); q is the
-    smallest count that puts the first row's bound within dx.  That is the
-    trapezoid rule on the Gaussian-weighted integrand, which converges
-    geometrically once h resolves both the Gaussian and the posterior's
-    switches between states.  Component k of F^b times the Gaussian peaks
-    at y + s^2 b gamma_k with spread s, and F^b lies between the largest
-    component's b-th power and d^b times it, so the union of the windows
-    s^2 b gamma_k +- _WINDOW s holds the sums to their tails.  Each y's log
-    terms are shifted by their largest before the exp, so nothing leaves
-    double range, and the (y x offset) working set is chunked to
-    _LATTICE_ENTRIES entries.
+    The state at step i is G + iK on the points ``region_lo[i] ..
+    region_hi[i]``; :meth:`back` steps it to i - 1 by correlating it with
+    the N(0, dt) density at the offsets within +-_KERNEL_SD sqrt(dt), taps
+    beyond the region counting as 0: a trapezoid rule, geometrically
+    convergent once h resolves the Gaussian and the posterior's switches.
+    G and K carry one tilt exp(-a x), a = b (gamma_1 + gamma_d) / 2, which
+    turns the kernel into N(a dt, dt) up to a constant, and each step divides
+    both by the largest G; where G still leaves double range, rows come out
+    non-finite.  Row i spans ``band_lo[i] .. band_hi[i]``: [min(0, gamma_1 t),
+    max(0, gamma_d t)] and _BAND_SD sqrt(t + dt) either side, plus the
+    cubic's stencil; step i convolves only over that band widened to the
+    tilted reach (b gamma_k t) and _REGION_SD sqrt(t + dt), which shrinks as
+    t falls.  Row n is the closed form m / (sigma (1 - alpha)), bit-equal
+    to :func:`evaluate_points` at t = T.  ``points`` counts the lattice
+    points the n steps convolve over.
     """
-    b = 1.0 / (1.0 - alpha)
-    gam = model.gammas
-    dy = float(y_grid[1] - y_grid[0])
-    step_cap = _GAP_STEP / float(np.diff(gam).max())
-    # the first row's step bound holds for every row, so every k below is >= 1
-    q = math.ceil(dy / min(float(s_grid[1]) / _ROW_RES, step_cap))
-    dx = dy / q
-    rows = []  # (s, lattice stride k, step h, merged offset ranges [lo, hi])
-    for s in s_grid[1:].tolist():
-        k = max(1, int(min(s / _ROW_RES, step_cap) / dx))
-        h = k * dx
-        centre = s * s * b * gam
-        lows = np.ceil((centre - _WINDOW * s) / h).astype(np.int64).tolist()
-        highs = np.floor((centre + _WINDOW * s) / h).astype(np.int64).tolist()
-        segments: list[list[int]] = []
-        for lo, hi in zip(lows, highs):  # centres ascend with gamma
-            if segments and lo <= segments[-1][1] + 1:
-                segments[-1][1] = max(segments[-1][1], hi)
-            else:
-                segments.append([lo, hi])
-        rows.append((s, k, h, segments))
 
-    ny = y_grid.size
-    base = max(0, -min(seg[0][0] * k for _, k, _, seg in rows))  # lattice index of y_grid[0]
-    reach = max(0, max(seg[-1][1] * k for _, k, _, seg in rows))
-    on_grid = slice(base, base + (ny - 1) * q + 1, q)
-    x = y_grid[0] + (np.arange(base + (ny - 1) * q + reach + 1) - base) * dx
-    x[on_grid] = y_grid
-    log_h = b * log_normalizer(model, T, x)
-    m = _state_sum(posterior_weights(model, T, x), gam)
+    def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
+        gam = model.gammas
+        self.model, self.alpha, self.T, self.n = model, alpha, T, n_steps
+        self.dt = dt = T / n_steps
+        self._b = b = 1.0 / (1.0 - alpha)
+        self._scale = model.sigma * (1.0 - alpha)
+        self._tilt = 0.5 * b * float(gam[0] + gam[-1])
+        gap = float(np.diff(gam).max(initial=0.0))
+        step = min(math.sqrt(dt) / _ROW_RES, _GAP_STEP / gap if gap else math.inf)
+        self.h = h = step / 2**halvings
+        taps = math.ceil(_KERNEL_SD * math.sqrt(dt) / h)
+        z = np.arange(-taps, taps + 1) * h - self._tilt * dt
+        self._kernel = np.exp(-0.5 * z * z / dt)
 
-    scale = model.sigma * (1.0 - alpha)
-    table = np.empty((s_grid.size, ny))
-    table[0] = m[on_grid] / scale
-    points = np.zeros(s_grid.size, dtype=np.int64)
-    strided = np.lib.stride_tricks.as_strided
-    item = x.itemsize
-    for j, (s, k, h, segments) in enumerate(rows, start=1):
-        points[j] = sum(hi - lo + 1 for lo, hi in segments)
-        # (y x offset) views per segment: y_i + o h sits at lattice index
-        # base + i q + o k, which base and reach keep inside the lattice
-        windows = []
-        for lo, hi in segments:
-            shape, steps = (ny, hi - lo + 1), (q * item, k * item)
-            windows.append((
-                strided(log_h[base + lo * k :], shape, steps),
-                strided(m[base + lo * k :], shape, steps),
-                -0.5 * (np.arange(lo, hi + 1) * (h / s)) ** 2,
-            ))
-        chunk = max(1, _LATTICE_ENTRIES // int(points[j]))
-        for i0 in range(0, ny, chunk):
-            part = slice(i0, i0 + chunk)
-            terms = [log_h_view[part] + gauss for log_h_view, _, gauss in windows]
-            top = np.max([term.max(axis=1) for term in terms], axis=0)[:, None]
-            num = den = 0.0
-            for term, (_, m_view, _) in zip(terms, windows):
-                term -= top
-                np.exp(term, out=term)
-                den = den + term.sum(axis=1)
-                term *= m_view[part]
-                num = num + term.sum(axis=1)
-            table[j, part] = num / den / scale
-    return table, points
+        t = np.arange(n_steps + 1) * dt
+        # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
+        root = np.sqrt(t + dt)
+        low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
+        self.band_lo = np.floor((low - _BAND_SD * root) / h).astype(np.int64) - 1
+        self.band_hi = np.floor((high + _BAND_SD * root) / h).astype(np.int64) + 2
+        reach_lo = np.minimum(low, b * gam[0] * t) - _REGION_SD * root
+        reach_hi = np.maximum(high, b * gam[-1] * t) + _REGION_SD * root
+        # the region reaches past the band by 4.5 sqrt(dt) or more, which holds the stencil's 2 h
+        self.region_lo = np.floor(reach_lo / h).astype(np.int64)
+        self.region_hi = np.ceil(reach_hi / h).astype(np.int64)
+        self.points = int((self.region_hi - self.region_lo + 1)[:-1].sum())
+
+    def start(self) -> np.ndarray:
+        """G + iK at t = T, tilted and scaled to a largest G of 1."""
+        gam = self.model.gammas
+        x = np.arange(self.region_lo[-1], self.region_hi[-1] + 1) * self.h
+        log_g = self._b * log_normalizer(self.model, self.T, x) - self._tilt * x
+        g = np.exp(log_g - log_g.max())
+        m = _state_sum(posterior_weights(self.model, self.T, x), gam)
+        return g + 1j * (g * (m - gam[0]))
+
+    def back(self, i: int, state: np.ndarray) -> np.ndarray:
+        """G + iK at step i from the state at step i + 1."""
+        first = self.region_lo[i] - self.region_lo[i + 1] + self._kernel.size // 2
+        keep = slice(first, first + self.region_hi[i] - self.region_lo[i] + 1)
+        # full correlation: entry j + taps sums state[j + k] kernel[k + taps], |k| <= taps;
+        # the kernel is real, so G and K do not mix
+        out = np.correlate(state, self._kernel, "full")[keep]
+        out /= out.real.max()
+        return out
+
+    def row(self, i: int, state: np.ndarray) -> np.ndarray:
+        """u* at the lattice points band_lo[i] .. band_hi[i] from the state at step i."""
+        gam = self.model.gammas
+        if i == self.n:
+            x = np.arange(self.band_lo[i], self.band_hi[i] + 1) * self.h
+            return _state_sum(posterior_weights(self.model, self.T, x), gam) / self._scale
+        first = self.band_lo[i] - self.region_lo[i]
+        z = state[first : first + self.band_hi[i] - self.band_lo[i] + 1]
+        return (gam[0] + z.imag / z.real) / self._scale
+
+    def rows(self, state: np.ndarray, top: int, bottom: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Rows bottom .. top from the state at step top, and the state at step bottom."""
+        # G underflows to 0 where the tilt leaves double range: those rows are not finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = [self.row(top, state)]
+            for i in range(top - 1, bottom - 1, -1):
+                state = self.back(i, state)
+                out.append(self.row(i, state))
+        return out[::-1], state
 
 
 def evaluate_points(
@@ -340,7 +326,7 @@ def evaluate_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """u*, f, a failure flag and the node count at broadcast arrays of points (t, T, y).
 
-    Points with t = T, and all points unless :func:`needs_quadrature`, take
+    Points with t = T, and all points when d = 1 or alpha = 0, take
     the posterior-mean Merton closed form f = posterior_weights(model, t, y)
     (the prior where T = 0), u = f . gamma / (sigma (1 - alpha)), and report
     0 nodes; the rest run the quadrature.  The per-panel node count doubles
@@ -378,7 +364,7 @@ def evaluate_points(
     # roundoff floor: doubling cannot settle below summation noise
     atol = 1e-13 * (np.abs(gam).max() / scale + 1.0)
     cap = max(NODE_CAP, 2 * quad.nodes)
-    quadrature = (t != T) & needs_quadrature(model, alpha)
+    quadrature = (t != T) & (model.d > 1 and alpha != 0.0)
     todo = np.flatnonzero(quadrature)
     t, T, y = t[quadrature], T[quadrature], y[quadrature]  # the points of todo
     n = quad.nodes

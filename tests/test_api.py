@@ -64,10 +64,9 @@ def test_benchmark_entry_points(tmp_path):
             assert callable(getattr(getattr(bayesmerton, module), name)), f"{module}.{name}"
     assert cli._COMMANDS and all(callable(fn) for fn in cli._COMMANDS.values())
 
-    # the tracer wraps the lookup and reads the table's grids and market
-    strat = bayesmerton.simkit.build_feedback_strategy(config.model, 0.0, 1.0)
+    # the tracer wraps the lookup and reads the table's market
+    strat = bayesmerton.simkit.build_feedback_strategy(config.model, 0.0, 1.0, 1e-3)
     assert "__call__" in vars(bayesmerton.simkit.CachedStrategy)
-    assert isinstance(strat._y_grid, np.ndarray) and isinstance(strat._s_grid, np.ndarray)
     assert strat.model is config.model and (strat.alpha, strat.T) == (0.0, 1.0)
     assert strat(0.5, np.array([0.0, 1.0])).shape == (2,)
 

@@ -555,8 +555,9 @@ class TestOptcheck:
         first = (out_dir / "optcheck.json").read_bytes()
         assert main(["--config", cfg, "optcheck"]) == 0
         assert (out_dir / "optcheck.json").read_bytes() == first
-        points = json.loads(first)["table_points"]
-        assert points[0] == 0 and all(n > 0 for n in points[1:])
+        report = json.loads(first)
+        assert report["table_step"] > 0.0
+        assert isinstance(report["table_points"], int) and report["table_points"] > 0
 
     def test_wrong_reference_exit_4(self, tmp_path, out_dir, monkeypatch):
         # planted wrong candidate: the simulated reference is twice the table
@@ -585,8 +586,23 @@ class TestOptcheck:
         assert error["error"] == "ValueError"
         assert not (out_dir / "optcheck.json").exists()
 
+    def test_sigma_not_one_power_utility_exits_0(self, tmp_path, out_dir, capsys):
+        # sigma 0.3, alpha 0.5: rows uniform in sqrt(T - t) missed PROBE_TOL here (3.28e-4)
+        cfg = write_config(
+            tmp_path, out_dir, alpha=0.5,
+            market={"r": 0.0, "sigma": 0.3, "mus": [0.3, 0.6, 0.9], "prior": [0.3, 0.3, 0.4]},
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 1e-3, "n_paths": 2000, "seed": 1},
+            optcheck={"perturbations": [0.5, 2.0]},
+        )
+        assert main(["--config", cfg, "optcheck"]) == 0
+        assert capsys.readouterr().out.strip() == "undominated = True"
+        report = json.loads((out_dir / "optcheck.json").read_text())
+        assert report["undominated"] is True and report["clamped_frac"] == 0.0
+        assert report["probe_error"] < simkit.PROBE_TOL
+
     def test_cache_probe_failure_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
-        # alpha = 0 keeps the table closed-form; a zero tolerance fails any probe
+        # a zero tolerance fails every probe, at every lattice step
         monkeypatch.setattr(simkit, "PROBE_TOL", 0.0)
         cfg = write_config(
             tmp_path, out_dir, alpha=0.0,

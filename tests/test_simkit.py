@@ -32,7 +32,7 @@ def toy():
 @pytest.fixture(scope="module")
 def toy_strategy():
     model = new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
-    return build_feedback_strategy(model, 0.5, 1.0)
+    return build_feedback_strategy(model, 0.5, 1.0, 1e-3)
 
 
 def general_market():
@@ -42,7 +42,7 @@ def general_market():
 
 @pytest.fixture(scope="module")
 def general_strategy():
-    return build_feedback_strategy(general_market(), 0.0, 0.3)
+    return build_feedback_strategy(general_market(), 0.0, 0.3, 1e-3)
 
 
 @pytest.fixture(params=["toy_strategy", "general_strategy"], ids=["toy", "general"])
@@ -168,7 +168,7 @@ class TestStepperReference:
     def test_matches_per_step_loop_on_general_market(self):
         """Two running sums reproduce the literal log-space step per candidate."""
         m = new_market(0.02, 0.3, (0.05, 0.1, 0.15, 0.3), (0.1, 0.2, 0.3, 0.4))
-        strat = build_feedback_strategy(m, 0.0, 1.0)
+        strat = build_feedback_strategy(m, 0.0, 1.0, 0.01)
         scales, n_paths, n_steps, seed = [1.0, 0.5, 2.0], 500, 100, 17
         thetas, log_xt = terminal_wealth(m, strat, scales, T=1.0, step=0.01, n_paths=n_paths, seed=seed)
 
@@ -269,7 +269,7 @@ class TestEstimateUtility:
         assert float(np.mean(delta)) >= -3.0 * se
 
     def test_log_optimal_beats_constant(self, toy):
-        log_strat = build_feedback_strategy(toy, 0.0, 1.0)
+        log_strat = build_feedback_strategy(toy, 0.0, 1.0, 5e-3)
         # the same seed gives both strategies the same noise
         _, opt = terminal_wealth(toy, log_strat, [1.0], T=1.0, step=5e-3, n_paths=20_000, seed=33)
         _, const = terminal_wealth(
@@ -312,22 +312,57 @@ class TestEstimateUtility:
         assert math.isfinite(se)
 
 
+def table_row(strat, i):
+    """Row i of a strategy table and its lattice points, (x, u)."""
+    heat = strat._heat
+    u = strat._row(i)
+    return (heat.band_lo[i] + np.arange(u.size)) * heat.h, u
+
+
+#: Markets that failed the probe check when the table's rows were uniform in
+#: sqrt(T - t) and blended cubically in t: (market, alpha, T).
+ONCE_FAILING = [
+    pytest.param("toy", 0.5, 8.0, id="toy-T8"),
+    pytest.param("toy", 0.9, 1.0, id="toy-alpha0.9"),
+    pytest.param("s03", 0.5, 1.0, id="sigma0.3"),
+    pytest.param("wide", 0.5, 1.0, id="wide-alpha0.5"),
+    pytest.param("wide", 0.25, 1.0, id="wide-alpha0.25"),
+    pytest.param("wide", -0.25, 1.0, id="wide-alpha-0.25"),
+    pytest.param("eight", 0.5, 1.0, id="eight-drifts"),
+    pytest.param("bench-wide", 0.25, 1.0, id="bench-wide-alpha0.25"),
+    pytest.param("bench-wide", -0.25, 1.0, id="bench-wide-alpha-0.25"),
+]
+
+
+def market(name):
+    return {
+        "toy": new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4)),
+        "general": general_market(),
+        "s03": new_market(0.0, 0.3, (0.3, 0.6, 0.9), (0.3, 0.3, 0.4)),
+        "sigma2": new_market(0.0, 2.0, (2.0, 4.0, 6.0), (0.3, 0.3, 0.4)),
+        # gammas from 0.2 to 9.95, adjacent gaps up to 5.5
+        "wide": new_market(0.01, 0.2, (0.05, 0.3, 0.9, 2.0), (0.25,) * 4),
+        "eight": new_market(0.0, 1.0, tuple(np.linspace(-1.0, 3.0, 8)), (0.125,) * 8),
+        "bench-wide": new_market(0.0, 0.5, (0.5, 2.5, 5.0), (1 / 3,) * 3),
+    }[name]
+
+
 class TestCachedStrategy:
     def test_probe_error_within_contract(self, toy_strategy):
         assert toy_strategy.probe_error is not None
         assert toy_strategy.probe_error < PROBE_TOL
 
     def test_log_utility_cache(self, toy):
-        strat = build_feedback_strategy(toy, 0.0, 1.0)
+        strat = build_feedback_strategy(toy, 0.0, 1.0, 1e-3)
         assert strat.probe_error < PROBE_TOL
         got = float(strat(0.3, np.array([0.4]))[0])
         assert got == pytest.approx(log_utility_fraction(toy, 0.3, 0.4), abs=1e-4)
         # the t = 0 row keeps the continuum form p_k exp(gamma_k y), not the
         # prior that log_utility_fraction pins at t = 0, so rows stay continuous in t
-        y = strat._y_grid
+        y, row = table_row(strat, 0)
         w = toy.prior * np.exp(toy.gammas * y[:, None])
         continuum = (w @ toy.mus / w.sum(axis=1) - toy.r) / toy.sigma**2
-        np.testing.assert_allclose(strat._table[-1], continuum, rtol=1e-12)
+        np.testing.assert_allclose(row, continuum, rtol=1e-12)
 
     def test_rescaled_shares_table(self, toy, toy_strategy):
         """A scaled candidate steps exactly like the table scaled by hand."""
@@ -341,6 +376,7 @@ class TestCachedStrategy:
         np.testing.assert_array_equal(shared[1], doubled[0])
 
     def test_matches_direct_evaluation(self, toy, toy_strategy):
+        # random t fall between grid times, where the two nearest rows blend
         rng = np.random.default_rng(6)
         for _ in range(5):
             t = float(rng.uniform(0.0, 1.0))
@@ -349,7 +385,7 @@ class TestCachedStrategy:
             assert float(toy_strategy(t, np.array([y]))[0]) == pytest.approx(direct, abs=1e-4)
 
     def test_probe_check_does_not_count_lookups(self, toy):
-        strat = build_feedback_strategy(toy, 0.0, 1.0)
+        strat = build_feedback_strategy(toy, 0.0, 1.0, 1e-3)
         assert strat.probe_error is not None
         assert (strat.lookups, strat.clamped) == (0, 0)
         strat(0.5, np.array([0.0, 100.0]))
@@ -360,83 +396,101 @@ class TestCachedStrategy:
         outside = float(toy_strategy(0.0, np.array([50.0]))[0])
         assert outside == pytest.approx(inside, abs=1e-6)
 
+    def test_segments_solve_again_bit_for_bit(self, toy):
+        """A segment solved again from its checkpoint gives the rows the build kept."""
+        strat = build_feedback_strategy(toy, 0.5, 1.0, 1e-3)
+        assert len(strat._segments) > 1
+        kept = [row.copy() for row in strat._rows]
+        strat._row(strat._heat.n)  # solves the top segment from its checkpoint
+        assert strat._segment == len(strat._segments) - 1
+        for i, row in enumerate(kept):
+            np.testing.assert_array_equal(strat._row(i), row)
+
+    @pytest.mark.parametrize("name, alpha, T", ONCE_FAILING)
+    def test_once_failing_markets_build(self, name, alpha, T):
+        """Probes pass, and simulated (t, Y_t) match direct evaluation to PROBE_TOL."""
+        model = market(name)
+        strat = build_feedback_strategy(model, alpha, T, T / 1000)
+        assert strat.probe_error < PROBE_TOL
+        _, _, times, y, u = recorded(model, strat, T, T / 1000, n_paths=300, seed=3)
+        assert strat.clamped == 0
+        direct, _, failed, _ = strategy_mod.evaluate_points(
+            model, alpha, times[::50, None], T, y[::50]
+        )
+        assert not failed.any()
+        assert np.max(np.abs(u[::50] - direct)) < PROBE_TOL
+
+    def test_range_failure_raises(self, toy):
+        """Toy alpha 0.5 at T 100: the tilted solve leaves double range, and no table comes back."""
+        with pytest.raises(simkit.CacheProbeFailed, match="not finite"):
+            build_feedback_strategy(toy, 0.5, 100.0, 0.1)
+
 
 class TestRightSizedTable:
-    """Each cache row sums over one shared lattice at a step and window sized to its s."""
+    """One backward heat solve gives a row of u* at every step of the stepper's grid."""
 
     @pytest.mark.parametrize(
-        "market, alpha, T",
+        "name, alpha, T",
         [
             pytest.param("general", 0.5, 1.0, id="0.5"),
             pytest.param("general", -2.0, 1.0, id="-2.0"),
             # the row-level node search missed rel_tol here: 1.31e-9
             pytest.param("toy", -5.0, 20.0, id="toy-alpha-5-T20"),
-            # sigma 2: the first row needs a lattice finer than the y grid
+            # sigma 2: the lattice step is set by the gaps between gammas
             pytest.param("sigma2", 0.5, 1.0, id="sigma2"),
             pytest.param("wide", -3.0, 4.0, id="wide-alpha-3-T4"),
             pytest.param("toy", 0.5, 50.0, id="toy-T50"),
         ],
     )
-    def test_rows_match_doubling_verified_values(self, toy, market, alpha, T):
-        """Every 8th y of every row within 1e-10 relative of doubling-verified u*."""
-        model = {
-            "general": general_market(),
-            "toy": toy,
-            "sigma2": new_market(0.0, 2.0, (2.0, 4.0, 6.0), (0.3, 0.3, 0.4)),
-            # gammas from 0.2 to 9.95, adjacent gaps up to 5.5
-            "wide": new_market(0.01, 0.2, (0.05, 0.3, 0.9, 2.0), (0.25,) * 4),
-        }[market]
+    def test_rows_match_doubling_verified_values(self, name, alpha, T):
+        """Every 8th node of every 50th row, and of the first and last, within 1e-10 relative."""
+        model = market(name)
         quad = QuadratureConfig()
-        strat = build_feedback_strategy(model, alpha, T, quad)
-        t_rows = np.maximum(T - strat._s_grid**2, 0.0)[:, None]
-        y = strat._y_grid[::8]
-        direct, _, failed, _ = strategy_mod.evaluate_points(model, alpha, t_rows, T, y, quad)
-        assert not failed.any()
+        strat = build_feedback_strategy(model, alpha, T, T / 1000, quad)
+        n = strat._heat.n
         # the evaluator's roundoff floor on top of the relative target
         atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * (1.0 - alpha)) + 1.0)
-        err = np.abs(strat._table[:, ::8] - direct)
-        assert np.all(err <= 1e-10 * np.abs(direct) + atol)
-        # s = 0 is the maturity closed form, bit for bit
-        np.testing.assert_array_equal(
-            strat._table[0], strategy_mod.evaluate_points(model, alpha, T, T, strat._y_grid)[0]
-        )
-        assert strat.row_points[0] == 0 and np.all(strat.row_points[1:] > 0)
+        for i in sorted({0, 1, n, *range(0, n, 50)}):
+            x, row = table_row(strat, i)
+            direct, _, failed, _ = strategy_mod.evaluate_points(
+                model, alpha, i * (T / n), T, x[::8], quad
+            )
+            assert not failed.any()
+            assert np.all(np.abs(row[::8] - direct) <= 1e-10 * np.abs(direct) + atol)
+        # t = T is the maturity closed form, bit for bit
+        x, row = table_row(strat, n)
+        np.testing.assert_array_equal(row, strategy_mod.evaluate_points(model, alpha, T, T, x)[0])
 
     def test_working_set_does_not_grow_with_horizon(self, toy):
         peaks = []
         for T in (1.0, 50.0):
             tracemalloc.start()
             try:
-                build_feedback_strategy(toy, 0.5, T)
+                build_feedback_strategy(toy, 0.5, T, T / 1000)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
     def test_zero_horizon_rejected(self, toy):
-        # no grid spans sqrt(T) = 0; an optcheck at T = 0 exits 2 naming T
+        # an optcheck at T = 0 exits 2 naming T
         for alpha in (0.5, 0.0):
             with pytest.raises(ValueError, match="T > 0"):
-                build_feedback_strategy(toy, alpha, 0.0)
+                build_feedback_strategy(toy, alpha, 0.0, 1e-3)
 
     def test_closed_form_builds_run_no_quadrature(self, toy, monkeypatch):
         calls = []
-        real_fk, real_rows = strategy_mod._fk_level, simkit._lattice_rows
+        real_fk = strategy_mod._fk_level
 
         def counted_fk(*args):
             calls.append("fk")
             return real_fk(*args)
 
-        def counted_rows(*args):
-            calls.append("lattice")
-            return real_rows(*args)
-
         monkeypatch.setattr(strategy_mod, "_fk_level", counted_fk)
-        monkeypatch.setattr(simkit, "_lattice_rows", counted_rows)
         d1 = new_market(0.0, 1.0, (1.0,), (1.0,))
         for model, alpha in ((toy, 0.0), (d1, 0.5)):
-            strat = build_feedback_strategy(model, alpha, 1.0)
-            assert strat.row_points.tolist() == [0] * strat._s_grid.size
+            strat = build_feedback_strategy(model, alpha, 1.0, 1e-3)
+            assert strat._heat.points > 0  # the same heat solve fills every table
         assert calls == []
 
 
@@ -448,14 +502,15 @@ class TestOptimalityCheck:
         assert report["undominated"] is True
         assert {s["scale"] for s in report["strategies"]} == {1.0, 0.5, 2.0}
         assert all(not p["dominates_reference"] for p in report["paired"])
-        assert report["clamped_frac"] == 0.0  # toy paths stay inside the y span
-        points = report["table_points"]
-        assert len(points) == simkit._S_POINTS and points[0] == 0  # s = 0 is closed form
-        assert all(isinstance(n, int) and n > 0 for n in points[1:])
+        assert report["clamped_frac"] == 0.0  # toy paths stay inside the rows' bands
+        # the lattice step is sqrt(dt) / 1.5 below the gap cap 0.5, convolved over 100 steps
+        assert report["table_step"] == math.sqrt(0.01) / 1.5
+        assert isinstance(report["table_points"], int) and report["table_points"] > 0
 
-    def test_log_utility_table_points_are_zero(self, toy):
+    def test_log_utility_runs_the_same_solve(self, toy):
         report = optimality_check(toy, 0.0, 1.0, [0.5], step=0.01, n_paths=200, seed=5)
-        assert report["table_points"] == [0] * simkit._S_POINTS
+        heat = strategy_mod._HeatSolve(toy, 0.0, 1.0, 100, 0)
+        assert (report["table_step"], report["table_points"]) == (heat.h, heat.points)
 
     def test_trivial_perturbation_set(self, toy):
         report = optimality_check(toy, -0.5, 1.0, [1.0], step=0.01, n_paths=2_000, seed=5)
@@ -464,7 +519,7 @@ class TestOptimalityCheck:
 
     def test_wrong_reference_detected(self, toy, toy_strategy, monkeypatch):
         # planted wrong candidate: the simulated reference is twice the table;
-        # the build's probe check reads the table through _lookup, so it passes
+        # the build's probe check reads the table through _cubic, so it passes
         lookup = simkit.CachedStrategy.__call__
         plain = terminal_wealth(toy, toy_strategy, [2.0, 1.0], 1.0, 0.01, 500, 5)[1]
         monkeypatch.setattr(
@@ -481,12 +536,33 @@ class TestOptimalityCheck:
         report = optimality_check(m, 0.5, 1.0, [0.5, 2.0], step=0.01, n_paths=20_000, seed=6)
         assert report["undominated"] is True
 
-
     def test_clamped_lookups_reported(self):
-        # sigma = 0.3: the y span 10 sigma sqrt(T) is narrower than where paths go
-        m = new_market(0.0, 0.3, (0.3, 0.6, 0.9), (0.3, 0.3, 0.4))
+        # sigma 0.3: Y_t = W_t + gamma_theta t does not scale with sigma, and
+        # the rows span where the paths go, so no lookup clamps
+        m = market("s03")
         report = optimality_check(m, 0.0, 1.0, [0.5], step=0.01, n_paths=2_000, seed=5)
-        assert 0.0 < report["clamped_frac"] < 1.0
+        assert report["clamped_frac"] == 0.0
+        strat = build_feedback_strategy(m, 0.0, 1.0, 0.01)
+        _, _, times, y, u = recorded(m, strat, 1.0, 0.01, n_paths=2_000, seed=5)
+        direct = strategy_mod.evaluate_points(m, 0.0, times[:, None], 1.0, y)[0]
+        assert np.max(np.abs(u - direct)) < PROBE_TOL
+
+    def test_memory_does_not_grow_with_steps(self, toy):
+        """The table's stored rows stay within their budget at four times the steps."""
+
+        def run(n_steps):
+            optimality_check(toy, 0.5, 1.0, [0.5], step=1.0 / n_steps, n_paths=2, seed=4)
+
+        run(1_000)  # warm up: first-call allocations are not per step
+        peaks = []
+        for n_steps in (1_000, 4_000):
+            tracemalloc.start()
+            try:
+                run(n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_single_path_rejected(self, toy):
         with pytest.raises(ValueError, match="n_paths"):
