@@ -32,7 +32,6 @@ Errors are reported on stderr as one JSON object naming the failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -211,8 +210,9 @@ CHUNK_ROWS = 2048
 def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> None:
     """Write a header line, then one row per index of the equal-length float columns.
 
-    Cells are ``repr(float)``, exact and never quoted, so the bytes equal
-    those of ``csv.writer`` given the same strings.
+    Cells are ``repr(float)``, exact and never quoted: no such string holds
+    a comma, a quote or a newline, so the bytes equal those of ``csv.writer``
+    given the same strings.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n_rows = columns[0].size
@@ -225,19 +225,16 @@ def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> 
 
 
 def export_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
-    """Write a sweep as CSV: T, u_star, limit, gap, converged_flag."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["T", "u_star", "limit", "gap", "converged_flag"])
-    for i in range(result.horizons.size):
-        writer.writerow(
-            [
-                repr(float(result.horizons[i])),
-                repr(float(result.u_values[i])),
-                repr(float(result.limit)),
-                repr(float(result.gaps[i])),
-                "true" if bool(result.within_gap[i]) else "false",
-            ]
-        )
+    """Write a sweep as CSV: T, u_star, limit, gap, converged_flag.
+
+    Numbers are ``repr(float)`` and flags ``true`` or ``false``, joined as in
+    :func:`write_columns`.
+    """
+    limit = repr(float(result.limit))
+    stream.write("T,u_star,limit,gap,converged_flag\n")
+    columns = (result.horizons, result.u_values, result.gaps, result.within_gap)
+    for T, u, gap, ok in zip(*(c.tolist() for c in columns)):
+        stream.write(f"{T!r},{u!r},{limit},{gap!r},{'true' if ok else 'false'}\n")
 
 
 def export_report_json(report: dict, stream: IO[str]) -> None:

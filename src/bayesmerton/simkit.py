@@ -17,8 +17,10 @@ steps of ``dt = T / n_steps``, so it ends exactly at ``T``; step ``i`` runs
 at time ``i dt`` and no grid array is built, so memory is a few ``n_paths``
 vectors at any step count.
 
-The tabulated optimal strategy, :class:`CachedStrategy`, has a row of u* at
-every time of that same grid, so each step reads one row and interpolates
+The tabulated optimal strategy, :class:`CachedStrategy`, owns the table
+from end to end: it picks the lattice, runs the backward heat solve that
+gives a row of u* at every time of that same grid, keeps the rows in
+segments, and looks them up, so each step reads one row and interpolates
 only in y.
 
 Reproducibility scheme: from a master seed, the hidden drifts for all paths
@@ -40,9 +42,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import _n_steps
+from .filtering import _n_steps, log_normalizer, posterior_weights
 from .model import MarketModel, UtilitySpec
-from .strategy import QuadratureConfig, QuadratureNotConverged, _HeatSolve, evaluate_points
+from .strategy import QuadratureConfig, QuadratureNotConverged, _state_sum, evaluate_points
+
+#: The strategy table's lattice step is at most sqrt(dt) / _ROW_RES and
+#: _GAP_STEP over the largest gap between adjacent gammas.
+_ROW_RES = 1.5
+_GAP_STEP = 0.5
+
+#: Reach of the heat kernel, of each row and of each step's convolution, in
+#: standard deviations: the kernel spans +-_KERNEL_SD sqrt(dt); the row at t
+#: spans the drifts' reach plus _BAND_SD sqrt(t + dt), where the paths go;
+#: and the convolution at t spans the tilted drifts' reach plus _REGION_SD
+#: sqrt(t + dt).  By Cauchy-Schwarz, _BAND_SD sqrt(t + dt) + _KERNEL_SD
+#: sqrt(s - t) is at most hypot(_BAND_SD, _KERNEL_SD) sqrt(s + dt) <=
+#: _REGION_SD sqrt(s + dt), so the region at any later time s holds the
+#: kernel windows of every row before it.
+_KERNEL_SD = 9.0
+_BAND_SD = 8.0
+_REGION_SD = 12.5
 
 #: Working-set bound of the strategy table's stored rows, in entries (2 MiB,
 #: twice the 65 x 2001 table that rows uniform in sqrt(T - t) took): the
@@ -94,70 +113,171 @@ def _cubic(row: np.ndarray, first: int, h: float, y: np.ndarray) -> tuple[np.nda
 
 
 class CachedStrategy:
-    """Feedback fraction u*(t, T, y) from a row of the heat solve at each grid time.
+    """Feedback fraction u*(t, T, y) from a row of a backward heat solve at each grid time.
+
+    With b = 1 / (1 - alpha) and m(x) the posterior mean of gamma at (T, x),
+    G(t, y) = E[F(T, y + W_{T-t})^b] and K(t, y) = E[(F^b (m - gamma_1))(y +
+    W_{T-t})] both solve G_t + G_yy / 2 = 0 (the martingale form of Karatzas &
+    Zhao 2001), and u* = (gamma_1 + K / G) / (sigma (1 - alpha)).  The state
+    at step i is G + iK on the lattice points x_j = j h from ``region_lo[i]``
+    to ``region_hi[i]``; one step back in time correlates it with the N(0, dt)
+    density at the offsets within +-_KERNEL_SD sqrt(dt), taps beyond the
+    region counting as 0: a trapezoid rule, geometrically convergent once h
+    resolves the Gaussian and the posterior's switches.  G and K carry one
+    tilt exp(-a x), a = b (gamma_1 + gamma_d) / 2, which turns the kernel into
+    N(a dt, dt) up to a constant, and each step divides both by the largest G;
+    where G still leaves double range, rows come out non-finite.  Row i spans
+    ``band_lo[i] .. band_hi[i]``: [min(0, gamma_1 t), max(0, gamma_d t)] and
+    _BAND_SD sqrt(t + dt) either side, plus the cubic's stencil; step i
+    convolves only over that band widened to the tilted reach (b gamma_k t)
+    and _REGION_SD sqrt(t + dt), which shrinks as t falls.  Row n is the
+    closed form m / (sigma (1 - alpha)), bit-equal to
+    :func:`~bayesmerton.strategy.evaluate_points` at t = T.  ``points``
+    counts the lattice points the n steps convolve over.
 
     A call at a grid time i T / n_steps reads row i, and a call between grid
     times blends the two neighbouring rows linearly in t; in y it takes the
-    Lagrange cubic through the four nearest lattice points.  y beyond a row's
-    band clamps to its edge; ``clamped`` counts those out of ``lookups``, the
-    y values looked up through calls (the build's probe check does not count).
+    Lagrange cubic through the four nearest lattice points.  A t outside
+    [0, T] raises ValueError.  y beyond a row's band clamps to its edge;
+    ``clamped`` counts those out of ``lookups``, the y values looked up
+    through calls (the build's probe check does not count).
 
     Rows are kept in segments of consecutive steps of about
     _SEGMENT_ENTRIES entries: the first segment's rows, and the solve's state
     at the last step of every segment, from which a call in another segment
-    solves it again, bit for bit.  ``probe_error`` is the worst error at the
-    build's probes.
+    solves it again, bit for bit.  :func:`build_feedback_strategy` runs the
+    solve and sets ``probe_error``, the worst error at its probes.
     """
 
-    def __init__(
-        self,
-        heat: _HeatSolve,
-        segments: list[tuple[int, int]],
-        checkpoints: list[np.ndarray],
-        rows: list[np.ndarray],
-        probe_error: float,
-    ):
-        self.model, self.alpha, self.T = heat.model, heat.alpha, heat.T
-        self._heat = heat
-        self._segments = segments
-        self._checkpoints = checkpoints
+    def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
+        gam = model.gammas
+        self.model, self.alpha, self.T, self.n = model, alpha, T, n_steps
+        self.dt = dt = T / n_steps
+        self._b = b = 1.0 / (1.0 - alpha)
+        self._scale = model.sigma * (1.0 - alpha)
+        self._tilt = 0.5 * b * float(gam[0] + gam[-1])
+        gap = float(np.diff(gam).max(initial=0.0))
+        step = min(math.sqrt(dt) / _ROW_RES, _GAP_STEP / gap if gap else math.inf)
+        self.h = h = step / 2**halvings
+        taps = math.ceil(_KERNEL_SD * math.sqrt(dt) / h)
+        z = np.arange(-taps, taps + 1) * h - self._tilt * dt
+        self._kernel = np.exp(-0.5 * z * z / dt)
+
+        t = np.arange(n_steps + 1) * dt
+        # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
+        root = np.sqrt(t + dt)
+        low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
+        self.band_lo = np.floor((low - _BAND_SD * root) / h).astype(np.int64) - 1
+        self.band_hi = np.floor((high + _BAND_SD * root) / h).astype(np.int64) + 2
+        reach_lo = np.minimum(low, b * gam[0] * t) - _REGION_SD * root
+        reach_hi = np.maximum(high, b * gam[-1] * t) + _REGION_SD * root
+        # the region reaches past the band by 4.5 sqrt(dt) or more, which holds the stencil's 2 h
+        self.region_lo = np.floor(reach_lo / h).astype(np.int64)
+        self.region_hi = np.ceil(reach_hi / h).astype(np.int64)
+        self.points = int((self.region_hi - self.region_lo + 1)[:-1].sum())
+
+        # each segment holds _SEGMENT_ENTRIES row entries at most, plus its first row
+        number = np.cumsum(self.band_hi - self.band_lo + 1) // _SEGMENT_ENTRIES
+        self._firsts = np.flatnonzero(np.diff(number, prepend=-1)).tolist()
+        # filled by _walk: row n, each segment's checkpoint, and segment 0's rows
+        self._top: np.ndarray | None = None
+        self._checkpoints: list[np.ndarray] = []
+        self._rows: list[np.ndarray] | None = None
         self._segment = 0
-        self._rows = rows
-        self.probe_error = probe_error
+        self.probe_error: float | None = None  # set by build_feedback_strategy
         self.lookups = 0
         self.clamped = 0
 
+    def _band(self, i: int, values: np.ndarray) -> np.ndarray:
+        """The entries of values over region i that lie in row i's band."""
+        first = self.band_lo[i] - self.region_lo[i]
+        return values[first : first + self.band_hi[i] - self.band_lo[i] + 1]
+
+    def _back(self, i: int, state: np.ndarray) -> np.ndarray:
+        """G + iK at step i from the state at step i + 1."""
+        first = self.region_lo[i] - self.region_lo[i + 1] + self._kernel.size // 2
+        keep = slice(first, first + self.region_hi[i] - self.region_lo[i] + 1)
+        # full correlation: entry j + taps sums state[j + k] kernel[k + taps], |k| <= taps;
+        # the kernel is real, so G and K do not mix
+        out = np.correlate(state, self._kernel, "full")[keep]
+        out /= out.real.max()
+        return out
+
+    def _u(self, i: int, state: np.ndarray) -> np.ndarray:
+        """Row i from the state at step i < n."""
+        z = self._band(i, state)
+        return (self.model.gammas[0] + z.imag / z.real) / self._scale
+
+    def _solve(self, s: int, state: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Segment s's rows from the state at its last step, and the state at its first."""
+        first = self._firsts[s]
+        last = self._firsts[s + 1] - 1 if s + 1 < len(self._firsts) else self.n
+        # G underflows to 0 where the tilt leaves double range: those rows are not finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = [self._top if last == self.n else self._u(last, state)]
+            for i in range(last - 1, first - 1, -1):
+                state = self._back(i, state)
+                rows.append(self._u(i, state))
+        return rows[::-1], state
+
+    def _walk(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve back from T once, keeping every segment's checkpoint and the first segment's rows.
+
+        Returns, for each step in ``at``, the y mid-cell where that row's fourth
+        difference is largest, which is where the cubic in y errs most (about
+        3/128 of that difference), and the table's u* there.  A row that is
+        not finite raises CacheProbeFailed.
+        """
+        gam = self.model.gammas
+        x = np.arange(self.region_lo[-1], self.region_hi[-1] + 1) * self.h
+        log_g = self._b * log_normalizer(self.model, self.T, x) - self._tilt * x
+        g = np.exp(log_g - log_g.max())
+        m = _state_sum(posterior_weights(self.model, self.T, x), gam)
+        self._top = self._band(self.n, m) / self._scale
+        state = g + 1j * (g * (m - gam[0]))
+        probes, cached = np.empty((2, at.size))
+        for s in reversed(range(len(self._firsts))):
+            self._checkpoints.append(state)
+            self._rows = None  # free the last segment's rows before solving this one
+            self._rows, state = self._solve(s, state)
+            if not all(np.isfinite(row).all() for row in self._rows):
+                raise CacheProbeFailed("table rows not finite: the solve left double range")
+            first = self._firsts[s]
+            for p in np.flatnonzero((first <= at) & (at < first + len(self._rows))).tolist():
+                i = int(at[p])
+                row = self._rows[i - first]
+                cell = self.band_lo[i] + 1 + int(np.argmax(np.abs(np.diff(row, 4))))
+                probes[p] = (cell + 0.5) * self.h
+                cached[p] = _cubic(row, self.band_lo[i], self.h, probes[p : p + 1])[0][0]
+            if first:
+                state = self._back(first - 1, state)
+        self._checkpoints.reverse()
+        return probes, cached
+
     def _row(self, i: int) -> np.ndarray:
-        s = bisect.bisect_right(self._segments, i, key=lambda seg: seg[0]) - 1
-        first, last = self._segments[s]
+        s = bisect.bisect_right(self._firsts, i) - 1
         if s != self._segment:
             self._rows = None  # free the old segment before solving the new one
-            self._rows = self._heat.rows(self._checkpoints[s], last, first)[0]
+            self._rows = self._solve(s, self._checkpoints[s])[0]
             self._segment = s
-        return self._rows[i - first]
+        return self._rows[i - self._firsts[s]]
 
     def __call__(self, t: float, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        heat = self._heat
-        pos = min(max(float(t) / heat.dt, 0.0), float(heat.n))
+        pos = float(t) / self.dt
+        if not -1e-9 <= pos <= self.n + 1e-9:
+            raise ValueError(f"t = {t} lies outside the table's [0, T = {self.T}]")
         i = round(pos)
         if abs(pos - i) <= 1e-9:
-            u, clamped = _cubic(self._row(i), heat.band_lo[i], heat.h, y)
+            u, clamped = _cubic(self._row(i), self.band_lo[i], self.h, y)
         else:
-            i = min(int(pos), heat.n - 1)
-            u, clamped = _cubic(self._row(i), heat.band_lo[i], heat.h, y)
-            u1, clamped1 = _cubic(self._row(i + 1), heat.band_lo[i + 1], heat.h, y)
+            i = int(pos)
+            u, clamped = _cubic(self._row(i), self.band_lo[i], self.h, y)
+            u1, clamped1 = _cubic(self._row(i + 1), self.band_lo[i + 1], self.h, y)
             u, clamped = u + (pos - i) * (u1 - u), clamped | clamped1
         self.lookups += y.size
         self.clamped += np.count_nonzero(clamped)
         return u
-
-
-def _segments(heat: _HeatSolve) -> list[tuple[int, int]]:
-    """(first, last) step of each segment: _SEGMENT_ENTRIES entries at most, plus its first row."""
-    number = np.cumsum(heat.band_hi - heat.band_lo + 1) // _SEGMENT_ENTRIES
-    firsts = np.flatnonzero(np.diff(number, prepend=-1)).tolist()
-    return list(zip(firsts, [i - 1 for i in firsts[1:]] + [heat.n]))
 
 
 def build_feedback_strategy(
@@ -169,13 +289,13 @@ def build_feedback_strategy(
 ) -> CachedStrategy:
     """Tabulate u* for fast path simulation on the stepper's grid of ``_n_steps(T, step)``.
 
-    One backward heat solve (``strategy._HeatSolve``) fills the rows for
+    One backward heat solve (:class:`CachedStrategy`) fills the rows for
     every alpha and d.  ``_PROBE_POINTS`` rows at random grid times after 0
     are each probed mid-cell where their fourth difference is largest, which
-    is where the cubic in y errs most (about 3/128 of that difference); a
-    doubling-verified ``evaluate_points`` call from ``quad.nodes`` there must
-    match the table to PROBE_TOL, and while it does not, the lattice step
-    halves, at most _HALVINGS times.
+    is where the cubic in y errs most; a doubling-verified
+    ``evaluate_points`` call from ``quad.nodes`` there must match the table
+    to PROBE_TOL, and while it does not, the lattice step halves, at most
+    _HALVINGS times.
 
     Error budget: rows sit within about 1e-12 of doubling-verified values at
     the lattice points (the tests check every 8th point of every 50th row on
@@ -196,32 +316,19 @@ def build_feedback_strategy(
     n_steps = _n_steps(T, step)
     at = np.random.default_rng(_PROBE_SEED).integers(1, n_steps + 1, size=_PROBE_POINTS)
     for halvings in range(_HALVINGS + 1):
-        heat = _HeatSolve(model, alpha, T, n_steps, halvings)
-        segments = _segments(heat)
-        checkpoints = []
-        probes, cached = np.empty((2, _PROBE_POINTS))
-        state = heat.start()
-        for first, last in reversed(segments):
-            checkpoints.append(state)
-            rows = None  # free the last segment's rows before solving this one
-            rows, state = heat.rows(state, last, first)
-            if not all(np.isfinite(row).all() for row in rows):
-                raise CacheProbeFailed("table rows not finite: the solve left double range")
-            for p in np.flatnonzero((first <= at) & (at <= last)).tolist():
-                i = int(at[p])
-                row = rows[i - first]
-                cell = heat.band_lo[i] + 1 + int(np.argmax(np.abs(np.diff(row, 4))))
-                probes[p] = (cell + 0.5) * heat.h
-                cached[p] = _cubic(row, heat.band_lo[i], heat.h, probes[p : p + 1])[0][0]
-            if first:
-                state = heat.back(first - 1, state)
-        direct, _, failed, _ = evaluate_points(model, alpha, at * heat.dt, T, probes, quad)
+        strat = CachedStrategy(model, alpha, T, n_steps, halvings)
+        probes, cached = strat._walk(at)
+        # n dt can round past T, which evaluate_points rejects
+        t = np.minimum(at * strat.dt, T)
+        direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes, quad)
         if failed.any():
             raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
-        worst = float(np.max(np.abs(cached - direct)))
-        if worst < PROBE_TOL:
-            return CachedStrategy(heat, segments, checkpoints[::-1], rows, worst)
-    raise CacheProbeFailed(f"strategy cache interpolation error {worst:.3e} exceeds {PROBE_TOL}")
+        strat.probe_error = float(np.max(np.abs(cached - direct)))
+        if strat.probe_error < PROBE_TOL:
+            return strat
+    raise CacheProbeFailed(
+        f"strategy cache interpolation error {strat.probe_error:.3e} exceeds {PROBE_TOL}"
+    )
 
 
 def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
@@ -354,8 +461,8 @@ def optimality_check(
         "seed": int(seed),
         "probe_error": float(base.probe_error),
         "clamped_frac": base.clamped / base.lookups,
-        "table_step": float(base._heat.h),
-        "table_points": int(base._heat.points),
+        "table_step": float(base.h),
+        "table_points": int(base.points),
         "strategies": strategies_report,
         "paired": paired,
         "undominated": bool(undominated),

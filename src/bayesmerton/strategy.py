@@ -35,26 +35,19 @@ serves every caller that asks for points: it takes broadcast arrays of
 point stops at its own first level that agrees with the previous one, and
 it reports the node count each point took.  It is also the one home of the
 posterior-mean Merton closed form, exact at t = T, for d = 1, and under log
-utility (alpha = 0) at every horizon.
-
-The strategy cache's table needs u* at every time of the path stepper's
-grid, and there the ratio is cheaper as a backward heat solve: with
-b = 1 / (1 - alpha) and m(x) the posterior mean of gamma at (T, x),
-G(t, y) = E[F(T, y + W_{T-t})^b] and K(t, y) = E[(F^b (m - gamma_1))(y +
-W_{T-t})] both solve G_t + G_yy / 2 = 0 (the martingale form of Karatzas &
-Zhao 2001), and u* = (gamma_1 + K / G) / (sigma (1 - alpha)).  One step back
-in time is one convolution with the N(0, dt) density (:class:`_HeatSolve`).
+utility (alpha = 0) at every horizon.  The path stepper's strategy table
+runs no quadrature: :class:`~bayesmerton.simkit.CachedStrategy` fills it by
+a backward heat solve and probes it against :func:`evaluate_points`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .filtering import _log_joint, log_normalizer, logsumexp, posterior_weights
+from .filtering import _log_joint, logsumexp, posterior_weights
 from .model import MarketModel, StrategyQuery, UtilitySpec
 
 #: Node-doubling ceiling per panel; a point reaching it without two
@@ -76,24 +69,6 @@ _CHUNK_ENTRIES = 16_384
 #: between panels hold integrand mass below exp(-_HALF_WIDTH^2 / 2) of the peak.
 _HALF_WIDTH = 10.0
 
-#: The strategy table's lattice step is at most sqrt(dt) / _ROW_RES and
-#: _GAP_STEP over the largest gap between adjacent gammas.
-_ROW_RES = 1.5
-_GAP_STEP = 0.5
-
-#: Reach of the heat kernel, of each row and of each step's convolution, in
-#: standard deviations: the kernel spans +-_KERNEL_SD sqrt(dt); the row at t
-#: spans the drifts' reach plus _BAND_SD sqrt(t + dt), where the paths go;
-#: and the convolution at t spans the tilted drifts' reach plus _REGION_SD
-#: sqrt(t + dt).  By Cauchy-Schwarz, _BAND_SD sqrt(t + dt) + _KERNEL_SD
-#: sqrt(s - t) is at most hypot(_BAND_SD, _KERNEL_SD) sqrt(s + dt) <=
-#: _REGION_SD sqrt(s + dt), so the region at any later time s holds the
-#: kernel windows of every row before it.
-_KERNEL_SD = 9.0
-_BAND_SD = 8.0
-_REGION_SD = 12.5
-
-
 @cache
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     # looked up at the first call: numpy imports np.polynomial only on access
@@ -112,8 +87,8 @@ class QuadratureConfig:
     (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
     probes) start doubling from, from MIN_NODES to NODE_CAP; the strategy
     cache's table runs no Gauss-Legendre quadrature (see
-    :class:`_HeatSolve`).  The panel half-width _HALF_WIDTH and the
-    doubling target REL_TOL are fixed.
+    :class:`~bayesmerton.simkit.CachedStrategy`).  The panel half-width
+    _HALF_WIDTH and the doubling target REL_TOL are fixed.
     """
 
     nodes: int = 64
@@ -227,93 +202,6 @@ def _fk_level(
         f = np.matmul(resp, weight[..., None])[..., 0]
         out[part] = f / f.sum(axis=1, keepdims=True)
     return out
-
-
-class _HeatSolve:
-    """Rows of u* at the times i T / n_steps from (G, K) on the lattice x_j = j h.
-
-    The state at step i is G + iK on the points ``region_lo[i] ..
-    region_hi[i]``; :meth:`back` steps it to i - 1 by correlating it with
-    the N(0, dt) density at the offsets within +-_KERNEL_SD sqrt(dt), taps
-    beyond the region counting as 0: a trapezoid rule, geometrically
-    convergent once h resolves the Gaussian and the posterior's switches.
-    G and K carry one tilt exp(-a x), a = b (gamma_1 + gamma_d) / 2, which
-    turns the kernel into N(a dt, dt) up to a constant, and each step divides
-    both by the largest G; where G still leaves double range, rows come out
-    non-finite.  Row i spans ``band_lo[i] .. band_hi[i]``: [min(0, gamma_1 t),
-    max(0, gamma_d t)] and _BAND_SD sqrt(t + dt) either side, plus the
-    cubic's stencil; step i convolves only over that band widened to the
-    tilted reach (b gamma_k t) and _REGION_SD sqrt(t + dt), which shrinks as
-    t falls.  Row n is the closed form m / (sigma (1 - alpha)), bit-equal
-    to :func:`evaluate_points` at t = T.  ``points`` counts the lattice
-    points the n steps convolve over.
-    """
-
-    def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
-        gam = model.gammas
-        self.model, self.alpha, self.T, self.n = model, alpha, T, n_steps
-        self.dt = dt = T / n_steps
-        self._b = b = 1.0 / (1.0 - alpha)
-        self._scale = model.sigma * (1.0 - alpha)
-        self._tilt = 0.5 * b * float(gam[0] + gam[-1])
-        gap = float(np.diff(gam).max(initial=0.0))
-        step = min(math.sqrt(dt) / _ROW_RES, _GAP_STEP / gap if gap else math.inf)
-        self.h = h = step / 2**halvings
-        taps = math.ceil(_KERNEL_SD * math.sqrt(dt) / h)
-        z = np.arange(-taps, taps + 1) * h - self._tilt * dt
-        self._kernel = np.exp(-0.5 * z * z / dt)
-
-        t = np.arange(n_steps + 1) * dt
-        # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
-        root = np.sqrt(t + dt)
-        low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
-        self.band_lo = np.floor((low - _BAND_SD * root) / h).astype(np.int64) - 1
-        self.band_hi = np.floor((high + _BAND_SD * root) / h).astype(np.int64) + 2
-        reach_lo = np.minimum(low, b * gam[0] * t) - _REGION_SD * root
-        reach_hi = np.maximum(high, b * gam[-1] * t) + _REGION_SD * root
-        # the region reaches past the band by 4.5 sqrt(dt) or more, which holds the stencil's 2 h
-        self.region_lo = np.floor(reach_lo / h).astype(np.int64)
-        self.region_hi = np.ceil(reach_hi / h).astype(np.int64)
-        self.points = int((self.region_hi - self.region_lo + 1)[:-1].sum())
-
-    def start(self) -> np.ndarray:
-        """G + iK at t = T, tilted and scaled to a largest G of 1."""
-        gam = self.model.gammas
-        x = np.arange(self.region_lo[-1], self.region_hi[-1] + 1) * self.h
-        log_g = self._b * log_normalizer(self.model, self.T, x) - self._tilt * x
-        g = np.exp(log_g - log_g.max())
-        m = _state_sum(posterior_weights(self.model, self.T, x), gam)
-        return g + 1j * (g * (m - gam[0]))
-
-    def back(self, i: int, state: np.ndarray) -> np.ndarray:
-        """G + iK at step i from the state at step i + 1."""
-        first = self.region_lo[i] - self.region_lo[i + 1] + self._kernel.size // 2
-        keep = slice(first, first + self.region_hi[i] - self.region_lo[i] + 1)
-        # full correlation: entry j + taps sums state[j + k] kernel[k + taps], |k| <= taps;
-        # the kernel is real, so G and K do not mix
-        out = np.correlate(state, self._kernel, "full")[keep]
-        out /= out.real.max()
-        return out
-
-    def row(self, i: int, state: np.ndarray) -> np.ndarray:
-        """u* at the lattice points band_lo[i] .. band_hi[i] from the state at step i."""
-        gam = self.model.gammas
-        if i == self.n:
-            x = np.arange(self.band_lo[i], self.band_hi[i] + 1) * self.h
-            return _state_sum(posterior_weights(self.model, self.T, x), gam) / self._scale
-        first = self.band_lo[i] - self.region_lo[i]
-        z = state[first : first + self.band_hi[i] - self.band_lo[i] + 1]
-        return (gam[0] + z.imag / z.real) / self._scale
-
-    def rows(self, state: np.ndarray, top: int, bottom: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """Rows bottom .. top from the state at step top, and the state at step bottom."""
-        # G underflows to 0 where the tilt leaves double range: those rows are not finite
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = [self.row(top, state)]
-            for i in range(top - 1, bottom - 1, -1):
-                state = self.back(i, state)
-                out.append(self.row(i, state))
-        return out[::-1], state
 
 
 def evaluate_points(

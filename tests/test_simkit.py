@@ -314,9 +314,8 @@ class TestEstimateUtility:
 
 def table_row(strat, i):
     """Row i of a strategy table and its lattice points, (x, u)."""
-    heat = strat._heat
     u = strat._row(i)
-    return (heat.band_lo[i] + np.arange(u.size)) * heat.h, u
+    return (strat.band_lo[i] + np.arange(u.size)) * strat.h, u
 
 
 #: Markets that failed the probe check when the table's rows were uniform in
@@ -396,13 +395,29 @@ class TestCachedStrategy:
         outside = float(toy_strategy(0.0, np.array([50.0]))[0])
         assert outside == pytest.approx(inside, abs=1e-6)
 
+    def test_lookup_outside_horizon_raises(self, toy_strategy):
+        """A t outside [0, T] names t instead of reading row 0 or row n."""
+        y = np.array([0.0])
+        for t in (-0.5, -1e-6, 1.0 + 1e-6, 2.0):
+            with pytest.raises(ValueError, match=f"t = {t} lies outside"):
+                toy_strategy(t, y)
+        # the ends, and roundoff past them, still read the end rows
+        for t in (-1e-15, 0.0, 1.0, 1.0 + 1e-15):
+            assert np.isfinite(toy_strategy(t, y)).all()
+
+    def test_probe_at_maturity_past_T(self, toy):
+        """T 3.5 in 100 steps: 100 dt rounds past T, where a probe at step n sits."""
+        assert 100 * (3.5 / 100) > 3.5
+        strat = build_feedback_strategy(toy, 0.5, 3.5, 0.035)
+        assert strat.probe_error < PROBE_TOL
+
     def test_segments_solve_again_bit_for_bit(self, toy):
         """A segment solved again from its checkpoint gives the rows the build kept."""
         strat = build_feedback_strategy(toy, 0.5, 1.0, 1e-3)
-        assert len(strat._segments) > 1
+        assert len(strat._firsts) > 1
         kept = [row.copy() for row in strat._rows]
-        strat._row(strat._heat.n)  # solves the top segment from its checkpoint
-        assert strat._segment == len(strat._segments) - 1
+        strat._row(strat.n)  # solves the top segment from its checkpoint
+        assert strat._segment == len(strat._firsts) - 1
         for i, row in enumerate(kept):
             np.testing.assert_array_equal(strat._row(i), row)
 
@@ -447,7 +462,7 @@ class TestRightSizedTable:
         model = market(name)
         quad = QuadratureConfig()
         strat = build_feedback_strategy(model, alpha, T, T / 1000, quad)
-        n = strat._heat.n
+        n = strat.n
         # the evaluator's roundoff floor on top of the relative target
         atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * (1.0 - alpha)) + 1.0)
         for i in sorted({0, 1, n, *range(0, n, 50)}):
@@ -490,7 +505,7 @@ class TestRightSizedTable:
         d1 = new_market(0.0, 1.0, (1.0,), (1.0,))
         for model, alpha in ((toy, 0.0), (d1, 0.5)):
             strat = build_feedback_strategy(model, alpha, 1.0, 1e-3)
-            assert strat._heat.points > 0  # the same heat solve fills every table
+            assert strat.points > 0  # the same heat solve fills every table
         assert calls == []
 
 
@@ -509,8 +524,8 @@ class TestOptimalityCheck:
 
     def test_log_utility_runs_the_same_solve(self, toy):
         report = optimality_check(toy, 0.0, 1.0, [0.5], step=0.01, n_paths=200, seed=5)
-        heat = strategy_mod._HeatSolve(toy, 0.0, 1.0, 100, 0)
-        assert (report["table_step"], report["table_points"]) == (heat.h, heat.points)
+        table = simkit.CachedStrategy(toy, 0.0, 1.0, 100, 0)
+        assert (report["table_step"], report["table_points"]) == (table.h, table.points)
 
     def test_trivial_perturbation_set(self, toy):
         report = optimality_check(toy, -0.5, 1.0, [1.0], step=0.01, n_paths=2_000, seed=5)
