@@ -28,16 +28,21 @@ come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
 (one vector draw in path order, :func:`_theta_indices`; the CLI's filter
 demo simulates the drift of path 0), and step ``i``'s Brownian increments are
 one ``standard_normal(n_paths)`` draw, element ``j`` for path ``j``, from one
-generator seeded with ``SeedSequence(seed, spawn_key=(1,))``.  Runs with the
-same seed therefore share noise path by path regardless of strategy, which is
-what the paired strategy comparisons rely on; all reductions use numpy's
-pairwise summation over full per-path arrays.
+generator seeded with ``SeedSequence(seed, spawn_key=(1,))``.  That generator
+lives on a second thread, the only one to touch it, which draws step
+``i + 1``'s increments while the stepper looks up step ``i``'s fractions;
+it draws in step order, so every increment keeps its value and its place.
+Runs with the same seed therefore share noise path by path regardless of
+strategy, which is what the paired strategy comparisons rely on; all
+reductions use numpy's pairwise summation over full per-path arrays.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import queue
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -336,6 +341,31 @@ def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
     return rng.choice(model.d, size=n_paths, p=model.prior)
 
 
+def _draw_ahead(
+    noise: np.random.Generator,
+    sqrt_dt: float,
+    n_steps: int,
+    ready: queue.SimpleQueue,
+    free: queue.SimpleQueue,
+) -> None:
+    """Fill buffers from ``free`` with each step's increments, in step order, into ``ready``.
+
+    Each is ``noise.standard_normal(n_paths) * sqrt_dt`` bit for bit.  A None
+    taken from ``free`` stops the drawing; an exception goes into ``ready``
+    in place of the step's increments.
+    """
+    try:
+        for _ in range(n_steps):
+            buf = free.get()
+            if buf is None:
+                return
+            noise.standard_normal(out=buf)
+            buf *= sqrt_dt
+            ready.put(buf)
+    except Exception as exc:
+        ready.put(exc)
+
+
 def terminal_wealth(
     model: MarketModel,
     strategy: StrategyFn,
@@ -353,6 +383,14 @@ def terminal_wealth(
     of all paths, and may return a scalar or a vector; every scale sees the
     same noise (common random numbers), which makes the per-path utility
     differences directly comparable.
+
+    The increments are drawn one step ahead on a second thread, into two
+    reused ``n_paths`` buffers, while this thread calls the strategy and
+    updates the sums; numpy releases the interpreter lock for both.  The
+    values and their order are those of drawing each step's increments in
+    turn, so the output is the same bit for bit.  The thread is joined
+    before the call returns or raises, and an exception it meets is raised
+    here.
     """
     n_steps = _n_steps(T, step)
     if n_paths < 1:
@@ -364,12 +402,24 @@ def terminal_wealth(
     excess_dt = (model.mus[thetas] - model.r) * dt
     gam_dt = model.gammas[thetas] * dt
     y, gain, power = np.zeros((3, n_paths))
-    for i in range(n_steps):
-        u = strategy(i * dt, y)
-        dw = noise.standard_normal(n_paths) * sqrt_dt
-        gain += u * (excess_dt + model.sigma * dw)
-        power += u * u * dt
-        y = y + (dw + gam_dt)
+    ready, free = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty(n_paths))
+    drawer = threading.Thread(target=_draw_ahead, args=(noise, sqrt_dt, n_steps, ready, free))
+    drawer.start()
+    try:
+        for i in range(n_steps):
+            u = strategy(i * dt, y)
+            dw = ready.get()
+            if isinstance(dw, Exception):
+                raise dw
+            gain += u * (excess_dt + model.sigma * dw)
+            power += u * u * dt
+            y = y + (dw + gam_dt)
+            free.put(dw)  # redrawn only once this step is done reading it
+    finally:
+        free.put(None)
+        drawer.join()
     c = np.asarray(scales, dtype=float)[:, None]
     return thetas, model.r * T + c * gain - 0.5 * model.sigma**2 * c * c * power
 

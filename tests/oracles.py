@@ -9,6 +9,7 @@ random market generator only uses the public constructor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,6 +220,35 @@ def numpy_filter_sde(
         probs[i + 1] = p
         y[i + 1] = y[i] + dw[i] + gamma_true * step
     return probs, y
+
+
+def serial_terminal_wealth(
+    model: MarketModel, strategy, scales, T: float, step: float, n_paths: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``simkit.terminal_wealth`` as one thread: (drift indices, log X_T per scale).
+
+    The stepper written out unchanged from before its increments were drawn
+    ahead: step ``i`` calls the strategy, then draws its own
+    ``standard_normal(n_paths)`` from the ``spawn_key=(1,)`` stream.
+    """
+    times = _time_grid(T, step)
+    n_steps = times.size - 1
+    dt = T / n_steps
+    sqrt_dt = math.sqrt(dt)
+    drifts = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    thetas = drifts.choice(model.d, size=n_paths, p=model.prior)
+    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    excess_dt = (model.mus[thetas] - model.r) * dt
+    gam_dt = model.gammas[thetas] * dt
+    y, gain, power = np.zeros((3, n_paths))
+    for i in range(n_steps):
+        u = strategy(i * dt, y)
+        dw = noise.standard_normal(n_paths) * sqrt_dt
+        gain += u * (excess_dt + model.sigma * dw)
+        power += u * u * dt
+        y = y + (dw + gam_dt)
+    c = np.asarray(scales, dtype=float)[:, None]
+    return thetas, model.r * T + c * gain - 0.5 * model.sigma**2 * c * c * power
 
 
 def random_market(

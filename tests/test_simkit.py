@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from bayesmerton.simkit import (
     terminal_wealth,
 )
 from bayesmerton.filtering import _time_grid
+from oracles import serial_terminal_wealth
 
 
 @pytest.fixture
@@ -189,6 +192,131 @@ class TestStepperReference:
                 ) * dt + m.sigma * pi * dw
             y = y + dw + gam * dt
         np.testing.assert_allclose(np.exp(log_xt), np.exp(log_x), rtol=1e-12)
+
+
+def raised_by(fn, timeout=60.0):
+    """The exception ``fn()`` raises (None if it returns), run in a thread given ``timeout`` s."""
+    box = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            box.append(exc)
+        else:
+            box.append(None)
+
+    # a daemon, so a call that hangs fails this test and does not hold up the suite's exit
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"still running after {timeout} s"
+    return box[0]
+
+
+class TestDrawAhead:
+    """The increments are drawn one step ahead on a second thread, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "T, step",
+        [(1.0, 1.0), (1.0, 0.5), (0.9, 0.3), (1.0, 0.15)],
+        ids=["1-step", "2-steps", "3-steps", "step-not-dividing-T"],
+    )
+    def test_matches_serial_loop_bitwise(self, toy, T, step):
+        def strat(t, y):
+            return 0.5 + 0.1 * y - 0.2 * t
+
+        args = (toy, strat, [1.0, 0.5, 2.0], T, step, 300, 21)
+        for got, want in zip(terminal_wealth(*args), serial_terminal_wealth(*args)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_serial_loop_bitwise_on_table(self):
+        """1000 steps of the table on the sigma 0.3 market; its lookup counts match too."""
+        m = new_market(0.0, 0.3, (0.3, 0.6, 0.9), (0.3, 0.3, 0.4))
+        strat = build_feedback_strategy(m, 0.0, 1.0, 1e-3)
+        args = (m, strat, [1.0, 0.5, 2.0], 1.0, 1e-3, 2_000, 33)
+        got = terminal_wealth(*args)
+        counts = (strat.clamped, strat.lookups)
+        want = serial_terminal_wealth(*args)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert (strat.clamped - counts[0], strat.lookups - counts[1]) == counts
+        assert counts[1] == 1_000 * 2_000
+
+    def test_strategy_error_propagates_and_leaves_no_thread(self, toy):
+        class FailsAtStep5:
+            armed = True
+
+            def __call__(self, t, y):
+                if self.armed and round(t / 0.1) == 5:
+                    raise ZeroDivisionError("step 5")
+                return 0.5 + 0.1 * y
+
+        strat = FailsAtStep5()
+        args = (toy, strat, [1.0, 0.5], 1.0, 0.1, 5_000, 8)
+        before = threading.active_count()
+        exc = raised_by(lambda: terminal_wealth(*args))
+        assert isinstance(exc, ZeroDivisionError) and str(exc) == "step 5"
+        assert threading.active_count() == before
+        strat.armed = False
+        for got, want in zip(terminal_wealth(*args), serial_terminal_wealth(*args)):
+            np.testing.assert_array_equal(got, want)
+        assert threading.active_count() == before
+
+    def test_draw_error_propagates_and_leaves_no_thread(self, toy, monkeypatch):
+        real = np.random.default_rng
+
+        class FailsOnDraw4:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 4:
+                    raise MemoryError("draw 4")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", FailsOnDraw4)
+        before = threading.active_count()
+        exc = raised_by(
+            lambda: terminal_wealth(toy, lambda t, y: 0.5, [1.0], 1.0, 0.1, 1_000, 8)
+        )
+        assert isinstance(exc, MemoryError) and str(exc) == "draw 4"
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_under_short_switch_interval(self, toy):
+        """Four callers at once, switching threads every microsecond, each bit for bit.
+
+        A buffer handed back for redrawing while its step still reads it would
+        change that step's increments.
+        """
+        def strat(t, y):
+            return 0.5 + 0.1 * np.sin(y)
+
+        runs = [(toy, strat, [1.0, 2.0], 1.0, 0.02, 20_000, seed) for seed in range(4)]
+        want = [serial_terminal_wealth(*args) for args in runs]
+        got = [None] * len(runs)
+
+        def run(k):
+            got[k] = terminal_wealth(*runs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(len(runs))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestObservationConsistency:
