@@ -8,7 +8,6 @@ from .model import (
     NonPositiveSigma,
     StrategyQuery,
     UnorderedDrifts,
-    UtilitySpec,
     merton_fraction,
     new_market,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "NonPositiveSigma",
     "StrategyQuery",
     "UnorderedDrifts",
-    "UtilitySpec",
     "merton_fraction",
     "new_market",
     "FilterPath",

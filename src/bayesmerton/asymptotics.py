@@ -6,6 +6,10 @@ the *smallest* drift for alpha < 0, independently of the prior.  The
 convergence comes with explicit lower bounds on the corresponding extreme
 state weight (f_d resp. f_1); those bounds are implemented here so the
 sandwich "bound <= quadrature value" is checkable at finite horizons.
+Both read the filter: with b = 1/(1 - alpha) and the effective time
+tau = (t - alpha T)/(1 - alpha), the Jensen bound on f_d is p_d^(b-1) times
+the posterior weight of state d at (b tau, b y), and the pessimist bound's
+second factor is the posterior weight of state 1 at a tilted observation.
 The limit is :func:`~bayesmerton.model.merton_fraction` at the extreme
 drift; the CLI writes a sweep's files.
 """
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import log_normalizer, logsumexp
-from .model import InvalidAlpha, MarketModel, StrategyQuery, UtilitySpec, merton_fraction
+from .filtering import _log_joint, log_normalizer, posterior_weights
+from .model import InvalidAlpha, MarketModel, StrategyQuery, _check_alpha, merton_fraction
 from .strategy import QuadratureConfig, _stabilized, evaluate_points
 
 
@@ -63,10 +67,10 @@ def limit_fraction(model: MarketModel, alpha: float) -> float:
         If r >= mu_1.
     InvalidAlpha
         For alpha = 0 (the log-utility fraction is state-dependent and has
-        no horizon limit of this form) or alpha >= 1.
+        no horizon limit of this form), or unless alpha is a finite number < 1.
     """
-    util = UtilitySpec(alpha)
-    if util.is_log:
+    _check_alpha(alpha)
+    if alpha == 0.0:
         raise InvalidAlpha("alpha = 0: the logarithmic fraction does not depend on T")
     if not model.asymptotics_valid:
         raise HypothesisViolated(f"need r < mu_1, got r={model.r}, mu_1={model.mus[0]}")
@@ -79,31 +83,20 @@ def jensen_lower_bound_fd(
 ) -> float:
     """Explicit lower bound on f_d(T, alpha) for alpha in (0, 1).
 
-    The convexity chain bounds f_d from below by
-
-        p_d^b exp(g_d^2 b (b-1) T / 2 + g_d b y - g_d^2 t b^2 / 2)
-        / sum_k p_k exp(g_k^2 b (b-1) T / 2 + g_k b y - g_k^2 t b^2 / 2),
-
-    with b = 1/(1 - alpha); computed in log domain.  Tends to p_d^(b-1)
-    as T grows; saturates at 1 for d = 1.
+    The convexity chain bounds f_d from below by p_d^(b-1) times the filter
+    posterior of state d at (b tau, b y), with b = 1/(1 - alpha) and the
+    effective time tau = (t - alpha T)/(1 - alpha) at which
+    ``strategy._stabilized`` reads the posterior.  Tends to p_d^(b-1) as T
+    grows; saturates at 1 for d = 1.
     """
-    util = UtilitySpec(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"bound requires alpha in (0, 1), got {alpha}")
     if not 0.0 <= t <= T:
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
-    beta = util.beta
-    gam = model.gammas
-    # exponent differences against the k = d term, formed analytically so the
-    # ratio stays exact even when the raw exponents are ~gamma^2 T / 2 huge
-    dg2 = gam * gam - gam[-1] * gam[-1]
-    rel = (
-        0.5 * dg2 * beta * (beta - 1.0) * T
-        + (gam - gam[-1]) * beta * y
-        - 0.5 * dg2 * t * beta * beta
-    )
-    log_den_rel = float(logsumexp(np.log(model.prior) + rel))
-    return math.exp(beta * math.log(float(model.prior[-1])) - log_den_rel)
+    b = 1.0 / (1.0 - alpha)
+    tau = (t - alpha * T) / (1.0 - alpha)
+    p_d = float(model.prior[-1])
+    return p_d ** (b - 1.0) * float(posterior_weights(model, b * tau, b * y)[-1])
 
 
 def admissible_lambda_interval(model: MarketModel) -> tuple[float, float]:
@@ -122,7 +115,7 @@ def _pessimist_log_factors(
     model: MarketModel, alpha: float, t: float, T: float, y: float, lam: float | None
 ) -> tuple[float, float, float]:
     """(log factor1, log factor2, factor3) of the pessimist bound."""
-    UtilitySpec(alpha)
+    _check_alpha(alpha)
     if not alpha < 0.0:
         raise InvalidAlpha(f"bound requires alpha < 0, got {alpha}")
     if not 0.0 <= t < T:
@@ -138,12 +131,7 @@ def _pessimist_log_factors(
     log_factor1 = float(_stabilized(model, alpha, t, T, y)[0][0]) / one_minus
 
     y_tilt = y + g1 * lam * (T - t)
-    log_factor2 = (
-        math.log(float(model.prior[0]))
-        + g1 * y_tilt
-        - 0.5 * g1 * g1 * T
-        - float(log_normalizer(model, T, y_tilt))
-    )
+    log_factor2 = float(_log_joint(model, T, y_tilt)[0]) - log_normalizer(model, T, y_tilt)
 
     z_cut = g1 * math.sqrt(T - t) * (lam - 1.0 / one_minus) * math.sqrt(one_minus)
     factor3 = 0.5 * math.erfc(-z_cut / math.sqrt(2.0))

@@ -57,9 +57,13 @@ class FilterPath:
 
 
 def _n_steps(T: float, step: float) -> int:
-    """``max(1, round(T / step))``: both simulators take steps of ``T / n_steps``."""
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("step and T must be positive")
+    """``max(1, round(T / step))``: both simulators take steps of ``T / n_steps``.
+
+    The one check of (T, step): ValueError unless T is finite and positive and
+    step is positive (NaN fails both).
+    """
+    if not (0.0 < T < np.inf and step > 0.0):
+        raise ValueError(f"need finite T > 0 and step > 0, got T={T}, step={step}")
     return max(1, int(round(T / step)))
 
 

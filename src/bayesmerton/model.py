@@ -76,24 +76,10 @@ class MarketModel:
         return self.r < self.mus[0]
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
-    """Power coefficient alpha < 1; alpha = 0 denotes logarithmic utility."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha) or self.alpha >= 1.0:
-            raise InvalidAlpha(f"alpha must be a finite number < 1, got {self.alpha}")
-
-    @property
-    def beta(self) -> float:
-        """Risk-aversion reciprocal 1/(1 - alpha); > 1 iff alpha in (0, 1)."""
-        return 1.0 / (1.0 - self.alpha)
-
-    @property
-    def is_log(self) -> bool:
-        return self.alpha == 0.0
+def _check_alpha(alpha: float) -> None:
+    """Raise InvalidAlpha unless alpha is a finite number < 1; alpha = 0 is log utility."""
+    if not np.isfinite(alpha) or alpha >= 1.0:
+        raise InvalidAlpha(f"alpha must be a finite number < 1, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -160,5 +146,5 @@ def merton_fraction(model: MarketModel, mu: float, alpha: float) -> float:
     Independent of time, horizon, and wealth.  Formed as gamma / (sigma (1 - alpha)),
     with ``MarketModel.gammas``' rounding of gamma, as u* is.
     """
-    util = UtilitySpec(alpha)
-    return (mu - model.r) / model.sigma / (model.sigma * (1.0 - util.alpha))
+    _check_alpha(alpha)
+    return (mu - model.r) / model.sigma / (model.sigma * (1.0 - alpha))

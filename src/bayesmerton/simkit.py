@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filtering import _n_steps, log_normalizer, posterior_weights
-from .model import MarketModel, UtilitySpec
+from .model import MarketModel, _check_alpha
 from .strategy import QuadratureConfig, QuadratureNotConverged, _state_sum, evaluate_points
 
 #: The strategy table's lattice step is at most sqrt(dt) / _ROW_RES and
@@ -151,10 +151,12 @@ class CachedStrategy:
     _SEGMENT_ENTRIES entries: the first segment's rows, and the solve's state
     at the last step of every segment, from which a call in another segment
     solves it again, bit for bit.  :func:`build_feedback_strategy` runs the
-    solve and sets ``probe_error``, the worst error at its probes.
+    solve and sets ``probe_error``, the worst error at its probes.  An alpha
+    that is not a finite number < 1 raises InvalidAlpha before any lattice.
     """
 
     def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
+        _check_alpha(alpha)
         gam = model.gammas
         self.model, self.alpha, self.T, self.n = model, alpha, T, n_steps
         self.dt = dt = T / n_steps
@@ -308,16 +310,17 @@ def build_feedback_strategy(
 
     Raises
     ------
+    InvalidAlpha
+        Unless alpha is a finite number < 1, before any table is built.
     ValueError
-        Unless T > 0 and step > 0.
+        Unless T is finite and positive and step positive.
     QuadratureNotConverged
         If a probe hits the node cap.
     CacheProbeFailed
         If a row is not finite (the tilted solve left double range), or if
         the worst probe error reaches PROBE_TOL at the finest lattice.
     """
-    if not T > 0.0:
-        raise ValueError(f"the strategy table needs T > 0, got {T}")
+    _check_alpha(alpha)
     n_steps = _n_steps(T, step)
     at = np.random.default_rng(_PROBE_SEED).integers(1, n_steps + 1, size=_PROBE_POINTS)
     for halvings in range(_HALVINGS + 1):
@@ -477,7 +480,6 @@ def optimality_check(
     Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
     utilities that overflow double range raise FloatingPointError.
     """
-    UtilitySpec(alpha)
     if n_paths < 2:
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]

@@ -48,7 +48,7 @@ from functools import cache
 import numpy as np
 
 from .filtering import _log_joint, logsumexp, posterior_weights
-from .model import MarketModel, StrategyQuery, UtilitySpec
+from .model import MarketModel, StrategyQuery, _check_alpha
 
 #: Node-doubling ceiling per panel; a point reaching it without two
 #: successive evaluations agreeing is flagged as not converged.
@@ -231,11 +231,11 @@ def evaluate_points(
     Raises
     ------
     InvalidAlpha
-        For alpha >= 1.
+        Unless alpha is a finite number < 1.
     ValueError
         Unless every point has finite 0 <= t <= T.
     """
-    UtilitySpec(alpha)
+    _check_alpha(alpha)
     t, T, y = (np.asarray(a, dtype=float) for a in (t, T, y))
     # L_0 = 1: at T = 0 the weights are the prior for any y (quadrature needs T > 0)
     t, T, y = np.broadcast_arrays(t, T, np.where(T == 0.0, 0.0, y))
@@ -299,11 +299,11 @@ def optimal_fraction(
     Raises
     ------
     InvalidAlpha
-        For alpha >= 1.
+        Unless alpha is a finite number < 1.
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    T = query.t if UtilitySpec(alpha).is_log else query.T
+    T = query.t if alpha == 0.0 else query.T
     (u, myopic), (f, _), (failed, _), _ = evaluate_points(
         model, alpha, query.t, [T, query.t], query.y, quad
     )

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's stabilized code paths:
 the naive evaluator works on the literal integrands with plain products,
 the Monte Carlo oracle samples the two defining expectations with its own
-log-sum-exp and imports nothing from ``bayesmerton.strategy``, and the
-random market generator only uses the public constructor.
+log-sum-exp and imports nothing from ``bayesmerton.strategy``, the lower
+bounds are their likelihood exponents expanded by hand and evaluated in
+mpmath, and the random market generator only uses the public constructor.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
 from bayesmerton import (
@@ -20,7 +22,6 @@ from bayesmerton import (
     MarketModel,
     StepTooLarge,
     StrategyQuery,
-    UtilitySpec,
     new_market,
     posterior_weights,
 )
@@ -98,7 +99,7 @@ def mc_fraction(
     It rejects the log case alpha = 0, whose fraction is the closed form
     ``log_utility_fraction`` with nothing to estimate.
     """
-    if UtilitySpec(alpha).is_log:
+    if alpha == 0.0:
         raise InvalidAlpha("alpha = 0 is the logarithmic case; use log_utility_fraction")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -141,6 +142,43 @@ def mc_fraction(
         std_error=float(np.sqrt(var_v)) / scale,
         n_samples=n_samples,
     )
+
+
+def jensen_bound_reference(
+    model: MarketModel, alpha: float, t: float, T: float, y: float
+) -> float:
+    """The Jensen lower bound on f_d with its exponent expanded, at 50 digits.
+
+    p_d^b exp(E_d) / sum_k p_k exp(E_k) with b = 1/(1 - alpha) and
+    E_k = b (b - 1) gamma_k^2 T / 2 + b gamma_k y - gamma_k^2 t b^2 / 2.
+    The double inputs are taken as exact; the result is rounded once.
+    """
+    with mp.workdps(50):
+        b = 1 / (1 - mp.mpf(alpha))
+        terms = [
+            mp.mpf(p) * mp.exp(b * (b - 1) * g * g * T / 2 + b * g * y - g * g * t * b * b / 2)
+            for p, g in zip(model.prior.tolist(), map(mp.mpf, model.gammas.tolist()))
+        ]
+        return float(mp.mpf(model.prior[-1]) ** (b - 1) * terms[-1] / mp.fsum(terms))
+
+
+def pessimist_factor2_reference(
+    model: MarketModel, t: float, T: float, y: float, lam: float
+) -> float:
+    """The pessimist bound's second factor with its exponent expanded, at 50 digits.
+
+    exp(log p_1 + gamma_1 y' - gamma_1^2 T / 2 - log F(T, y')) at the tilted
+    observation y' = y + gamma_1 lam (T - t), with
+    F(T, y') = sum_k p_k exp(gamma_k y' - gamma_k^2 T / 2).
+    """
+    with mp.workdps(50):
+        gam = [mp.mpf(g) for g in model.gammas.tolist()]
+        y_tilt = y + gam[0] * lam * (T - mp.mpf(t))
+        log_f = mp.log(
+            mp.fsum(mp.mpf(p) * mp.exp(g * y_tilt - g * g * T / 2)
+                    for p, g in zip(model.prior.tolist(), gam))
+        )
+        return float(mp.exp(mp.log(model.prior[0]) + gam[0] * y_tilt - gam[0] ** 2 * T / 2 - log_f))
 
 
 def two_logsumexp_fk(

@@ -1,14 +1,17 @@
 """The package's public names, the entry points the benchmark harness calls, and the README's code."""
 
 import json
+import math
 import re
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bayesmerton
 import bayesmerton.cli as cli
+from bayesmerton.strategy import evaluate_points
 
 #: Names the benchmark's span tracer replaces as module globals, by module.
 #: A name that no longer resolves is skipped there, and the layer metrics
@@ -27,6 +30,43 @@ TRACED = {
     "asymptotics": ["limit_fraction"],
     "simkit": ["build_feedback_strategy", "terminal_wealth"],
 }
+
+
+#: Every public callable that takes alpha, called on the toy market with
+#: otherwise valid arguments.
+ALPHA_ENTRIES = {
+    "merton_fraction": lambda m, a: bayesmerton.merton_fraction(m, 2.0, a),
+    "limit_fraction": lambda m, a: bayesmerton.limit_fraction(m, a),
+    "jensen_lower_bound_fd": lambda m, a: bayesmerton.jensen_lower_bound_fd(m, a, 0.0, 1.0, 0.0),
+    "pessimist_lower_bound_f1": lambda m, a: bayesmerton.pessimist_lower_bound_f1(
+        m, a, 0.0, 1.0, 0.0
+    ),
+    "evaluate_points": lambda m, a: evaluate_points(m, a, 0.0, 1.0, 0.0),
+    "optimal_fraction": lambda m, a: bayesmerton.optimal_fraction(
+        m, a, bayesmerton.StrategyQuery(0.0, 1.0, 0.0)
+    ),
+    "horizon_sweep": lambda m, a: bayesmerton.horizon_sweep(m, a, 0.0, 0.0, [1.0, 2.0]),
+    "build_feedback_strategy": lambda m, a: bayesmerton.build_feedback_strategy(m, a, 1.0, 1e-2),
+    "CachedStrategy": lambda m, a: bayesmerton.CachedStrategy(m, a, 1.0, 100, 0),
+    "optimality_check": lambda m, a: bayesmerton.optimality_check(
+        m, a, 1.0, [0.5], 1e-2, 4, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(ALPHA_ENTRIES))
+def test_alpha_checked_at_every_entry(entry, alpha, monkeypatch):
+    """alpha must be a finite number < 1, checked before any strategy table is built."""
+
+    def no_table(*args):
+        raise AssertionError(f"a strategy table was built at alpha = {alpha}")
+
+    # the entries reach the table through simkit; bayesmerton.CachedStrategy stays the class
+    monkeypatch.setattr(bayesmerton.simkit, "CachedStrategy", no_table)
+    toy = bayesmerton.new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
+    with pytest.raises(bayesmerton.InvalidAlpha):
+        ALPHA_ENTRIES[entry](toy, alpha)
 
 
 def test_every_listed_name_resolves():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from bayesmerton.asymptotics import (
     pessimist_bound_factors,
     pessimist_lower_bound_f1,
 )
+
+from oracles import jensen_bound_reference, pessimist_factor2_reference, random_market
 
 
 @pytest.fixture
@@ -132,6 +136,66 @@ class TestPessimistBound:
     def test_positive_alpha_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
             pessimist_lower_bound_f1(toy, 0.5, 0.0, 5.0, 0.0)
+
+
+def _exponent_scale(model, b: float, T: float, y: float) -> float:
+    """b g |y| + (b g)^2 T at the largest |gamma| g: the size of a bound's exponents."""
+    g = float(np.abs(model.gammas).max())
+    return b * g * abs(y) + (b * g) ** 2 * T
+
+
+class TestBoundsAgainstExpandedReferences:
+    """Both bounds read the filter; the oracles expand their exponents by hand.
+
+    A double evaluation of exponents of size K rounds them by a few eps K,
+    which no rewrite avoids, so the agreement asked is 1e-12 relative plus
+    2 eps K wherever the reference exceeds 1e-300.
+    """
+
+    N_CASES = 400
+
+    def cases(self, seed):
+        """(rng, model, t, T, y) on random valid markets, d cycling 2-5, T in [0.1, 1e3]."""
+        rng = np.random.default_rng(seed)
+        for i in range(self.N_CASES):
+            model = random_market(rng, require_valid=True)
+            while model.d != 2 + i % 4:
+                model = random_market(rng, require_valid=True)
+            T = float(10.0 ** rng.uniform(-1.0, 3.0))
+            t = float(rng.uniform(0.0, T))
+            gam = model.gammas
+            y = float(rng.uniform(gam[0], gam[-1]) * t + math.sqrt(T) * rng.standard_normal())
+            yield rng, model, t, T, y
+
+    def test_jensen_bound(self):
+        checked = 0
+        for rng, model, t, T, y in self.cases(19):
+            alpha = float(rng.uniform(0.0, 1.0))
+            ref = jensen_bound_reference(model, alpha, t, T, y)
+            if ref > 1e-300:
+                b = 1.0 / (1.0 - alpha)
+                tol = 1e-12 + 2 * np.finfo(float).eps * _exponent_scale(model, b, T, y)
+                got = jensen_lower_bound_fd(model, alpha, t, T, y)
+                assert abs(got - ref) <= tol * ref, (model, alpha, t, T, y)
+                checked += 1
+        assert checked >= self.N_CASES // 2
+
+    def test_pessimist_second_factor(self):
+        checked = 0
+        for rng, model, t, T, y in self.cases(23):
+            alpha = float(rng.uniform(-5.0, 0.0))
+            lo, hi = admissible_lambda_interval(model)
+            lam = float(rng.uniform(lo, hi))
+            if not (t < T and lo < lam < hi):
+                continue
+            ref = pessimist_factor2_reference(model, t, T, y, lam)
+            if ref > 1e-300:
+                y_tilt = y + float(model.gammas[0]) * lam * (T - t)
+                tol = 1e-12 + 2 * np.finfo(float).eps * _exponent_scale(model, 1.0, T, y_tilt)
+                got = pessimist_bound_factors(model, alpha, t, T, y, lam)[1]
+                assert abs(got - ref) <= tol * ref, (model, alpha, t, T, y, lam)
+                checked += 1
+        assert checked >= self.N_CASES // 2
 
 
 class TestHorizonSweep:

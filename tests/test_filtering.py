@@ -1,13 +1,18 @@
+import math
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from bayesmerton import (
     StepTooLarge,
+    build_feedback_strategy,
     log_normalizer,
     new_market,
     posterior_weights,
     simulate_filter_sde,
+    terminal_wealth,
 )
 
 from oracles import numpy_filter_sde
@@ -177,6 +182,26 @@ class TestFilterSde:
     def test_invalid_index_rejected(self, toy):
         with pytest.raises(IndexError):
             simulate_filter_sde(toy, 3, 1.0, 0.01, seed=0)
+
+
+#: Callers of ``filtering._n_steps``, the one check of (T, step).
+STEPPED = {
+    "simulate_filter_sde": lambda m, T, step: simulate_filter_sde(m, 0, T, step, seed=0),
+    "terminal_wealth": lambda m, T, step: terminal_wealth(
+        m, lambda t, y: 1.0, [1.0], T, step, 2, 0
+    ),
+    "build_feedback_strategy": lambda m, T, step: build_feedback_strategy(m, 0.5, T, step),
+}
+
+
+@pytest.mark.parametrize(
+    "T, step", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (0.0, 1e-3), (1.0, -1e-3)]
+)
+@pytest.mark.parametrize("caller", list(STEPPED))
+def test_horizon_and_step_checked_once(toy, caller, T, step):
+    """A non-finite or non-positive T, or a NaN or non-positive step, is a ValueError naming both."""
+    with pytest.raises(ValueError, match=re.escape(f"T={T}, step={step}")):
+        STEPPED[caller](toy, T, step)
 
 
 class TestEulerAgainstNumpyLoop:

@@ -8,7 +8,6 @@ from bayesmerton import (
     NonPositiveSigma,
     StrategyQuery,
     UnorderedDrifts,
-    UtilitySpec,
     merton_fraction,
     new_market,
 )
@@ -99,26 +98,6 @@ class TestMertonFraction:
     def test_alpha_at_least_one_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
             merton_fraction(toy, 2.0, 1.0)
-
-
-class TestUtilitySpec:
-    def test_beta_values(self):
-        assert UtilitySpec(0.5).beta == pytest.approx(2.0)
-        assert UtilitySpec(-1.0).beta == pytest.approx(0.5)
-
-    def test_log_case(self):
-        spec = UtilitySpec(0.0)
-        assert spec.is_log
-        assert spec.beta == 1.0
-
-    def test_beta_above_one_iff_alpha_in_unit_interval(self):
-        assert UtilitySpec(0.2).beta > 1.0
-        assert UtilitySpec(-0.2).beta < 1.0
-
-    @pytest.mark.parametrize("alpha", [1.0, 1.5, float("nan"), float("inf")])
-    def test_invalid_alpha(self, alpha):
-        with pytest.raises(InvalidAlpha):
-            UtilitySpec(alpha)
 
 
 class TestStrategyQuery:
