@@ -44,8 +44,8 @@ class SweepResult:
     """u*(t, T, y) across horizons with gaps to the predicted limit.
 
     ``failed`` marks horizons whose quadrature did not converge (their
-    u value is NaN); ``first_within_gap`` is the index of the first
-    successful horizon with gap/|limit| below CONVERGENCE_GAP, or None.
+    u value is NaN); ``within_gap`` marks the successful horizons with
+    gap/|limit| below CONVERGENCE_GAP.
     """
 
     horizons: np.ndarray
@@ -54,7 +54,6 @@ class SweepResult:
     gaps: np.ndarray
     within_gap: np.ndarray
     failed: np.ndarray
-    first_within_gap: int | None
 
 
 def limit_fraction(model: MarketModel, alpha: float) -> float:
@@ -163,19 +162,6 @@ def pessimist_lower_bound_f1(
     return math.exp(log_f1 + log_f2) * f3
 
 
-def pessimist_bound_factors(
-    model: MarketModel,
-    alpha: float,
-    t: float,
-    T: float,
-    y: float,
-    lam: float | None = None,
-) -> tuple[float, float, float]:
-    """The three factors of :func:`pessimist_lower_bound_f1` separately."""
-    log_f1, log_f2, f3 = _pessimist_log_factors(model, alpha, t, T, y, lam)
-    return math.exp(log_f1), math.exp(log_f2), f3
-
-
 def horizon_sweep(
     model: MarketModel,
     alpha: float,
@@ -208,8 +194,6 @@ def horizon_sweep(
     gaps = np.abs(u_values - limit)
     with np.errstate(invalid="ignore"):
         within = (gaps / abs(limit) < CONVERGENCE_GAP) & ~failed
-    hits = np.nonzero(within)[0]
-    first = int(hits[0]) if hits.size else None
     for arr in (horizons_arr, u_values, gaps, within, failed):
         arr.setflags(write=False)
     return SweepResult(
@@ -219,11 +203,9 @@ def horizon_sweep(
         gaps=gaps,
         within_gap=within,
         failed=failed,
-        first_within_gap=first,
     )
 
 
-def default_horizons(max_horizon: float = 1024.0) -> np.ndarray:
-    """Geometric grid 1, 2, 4, ... up to max_horizon."""
-    n = int(math.floor(math.log2(max_horizon))) + 1
-    return 2.0 ** np.arange(n)
+def default_horizons() -> np.ndarray:
+    """Geometric grid 1, 2, 4, ... up to 1024."""
+    return 2.0 ** np.arange(11)

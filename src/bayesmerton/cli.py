@@ -242,8 +242,9 @@ def export_report_json(report: dict, stream: IO[str]) -> None:
     stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _svg_axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _svg_axis_ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_sweep_svg(result: SweepResult) -> str:

@@ -53,17 +53,16 @@ class FilterPath:
     times: np.ndarray
     probs: np.ndarray  # (n_steps + 1, d)
     y: np.ndarray  # (n_steps + 1,)
-    step: float
 
 
 def _n_steps(T: float, step: float) -> int:
     """``max(1, round(T / step))``: both simulators take steps of ``T / n_steps``.
 
-    The one check of (T, step): ValueError unless T is finite and positive and
-    step is positive (NaN fails both).
+    The one check of (T, step): ValueError unless T is finite and positive,
+    step is positive and T / step is finite (NaN fails all three).
     """
-    if not (0.0 < T < np.inf and step > 0.0):
-        raise ValueError(f"need finite T > 0 and step > 0, got T={T}, step={step}")
+    if not (0.0 < T < np.inf and step > 0.0 and float(T) / float(step) < np.inf):
+        raise ValueError(f"need finite T > 0, step > 0 and T / step, got T={T}, step={step}")
     return max(1, int(round(T / step)))
 
 
@@ -78,10 +77,10 @@ def _time_grid(T: float, step: float) -> np.ndarray:
     return times
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted log-sum-exp along one axis."""
-    shift = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(shift, axis=axis) + np.log(np.sum(np.exp(a - shift), axis=axis))
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp along the last axis."""
+    shift = np.max(a, axis=-1, keepdims=True)
+    return np.squeeze(shift, axis=-1) + np.log(np.sum(np.exp(a - shift), axis=-1))
 
 
 def _log_joint(model: MarketModel, t, y) -> np.ndarray:
@@ -131,7 +130,7 @@ def simulate_filter_sde(
     RNG stream (all Brownian increments drawn upfront, in time order) so
     paired comparisons are reproducible from the seed alone.  Each Euler step
     is clipped to [1e-12, 1] and renormalized.  The grid ends exactly at
-    the horizon; ``FilterPath.step`` is the step simulated.
+    the horizon; ``times[1]`` is the step simulated.
 
     The step runs on Python floats, one state at a time.  The posterior
     mean and the renormalizing total are sequential sums in double
@@ -192,5 +191,4 @@ def simulate_filter_sde(
         times=times,
         probs=np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d),
         y=np.frombuffer(ys, dtype=float),
-        step=step,
     )

@@ -313,7 +313,7 @@ def build_feedback_strategy(
     InvalidAlpha
         Unless alpha is a finite number < 1, before any table is built.
     ValueError
-        Unless T is finite and positive and step positive.
+        Unless T is finite and positive, step positive and T / step finite.
     QuadratureNotConverged
         If a probe hits the node cap.
     CacheProbeFailed

@@ -19,7 +19,7 @@ from bayesmerton.asymptotics import (
     horizon_sweep,
     jensen_lower_bound_fd,
     limit_fraction,
-    pessimist_bound_factors,
+    _pessimist_log_factors,
     pessimist_lower_bound_f1,
 )
 
@@ -109,7 +109,8 @@ class TestPessimistBound:
         """Each of the three factors approaches 1 along growing horizons."""
         prev = (0.0, 0.0, 0.0)
         for T in (5.0, 50.0, 500.0):
-            factors = pessimist_bound_factors(toy, -0.5, 0.0, T, 0.0, lam=1.2)
+            log_f1, log_f2, f3 = _pessimist_log_factors(toy, -0.5, 0.0, T, 0.0, lam=1.2)
+            factors = (math.exp(log_f1), math.exp(log_f2), f3)
             assert all(f > p for f, p in zip(factors, prev))
             prev = factors
         assert all(f > 1.0 - 1e-6 for f in prev)
@@ -192,7 +193,7 @@ class TestBoundsAgainstExpandedReferences:
             if ref > 1e-300:
                 y_tilt = y + float(model.gammas[0]) * lam * (T - t)
                 tol = 1e-12 + 2 * np.finfo(float).eps * _exponent_scale(model, 1.0, T, y_tilt)
-                got = pessimist_bound_factors(model, alpha, t, T, y, lam)[1]
+                got = math.exp(_pessimist_log_factors(model, alpha, t, T, y, lam)[1])
                 assert abs(got - ref) <= tol * ref, (model, alpha, t, T, y, lam)
                 checked += 1
         assert checked >= self.N_CASES // 2
@@ -206,7 +207,7 @@ class TestHorizonSweep:
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
         sweep = horizon_sweep(m, 0.5, 0.0, 0.0, [1.0, 2.0, 4.0])
         np.testing.assert_allclose(sweep.gaps, 0.0, atol=1e-14)
-        assert sweep.first_within_gap == 0
+        assert sweep.within_gap[0]
 
     def test_toy_converges_to_both_limits(self, toy):
         for alpha in (0.5, -0.5):
@@ -214,7 +215,7 @@ class TestHorizonSweep:
             assert not sweep.failed.any()
             final_gap = sweep.gaps[-1]
             assert final_gap < 0.05 * abs(sweep.limit)
-            assert sweep.first_within_gap is not None
+            assert sweep.within_gap.any()
 
     def test_pessimist_gap_shrinks_along_grid(self, toy):
         """Observed behavior of this grid: gaps decrease monotonically."""

@@ -273,6 +273,16 @@ class TestStrictNumbers:
         assert err["message"].startswith("sim.step: ")
         assert not (out_dir / "filter_demo.csv").exists()
 
+    @pytest.mark.parametrize("command", ["optcheck", "filter-demo"])
+    def test_overflowing_step_count_exits_2(self, tmp_path, out_dir, capsys, command):
+        # T / step is inf: the step count check, not an OverflowError traceback
+        cfg = write_config(tmp_path, out_dir)
+        assert main(["--config", cfg, "--step", "1e-320", command]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "T=1.0, step=1e-320" in err["message"]
+        assert not any(out_dir.iterdir())
+
     def test_default_step_follows_flag_horizon(self, tmp_path, out_dir):
         cfg = write_config(tmp_path, out_dir, query={"T": 2.0})
         args = cli.build_parser().parse_args(["--config", cfg, "--T", "4", "eval"])

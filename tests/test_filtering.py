@@ -147,10 +147,11 @@ class TestFilterSde:
             path = simulate_filter_sde(toy, 2, 1.0, step, seed=9)
             assert path.times.size == n_steps + 1
             assert path.times[-1] == 1.0
-            assert path.step == 1.0 / n_steps
+            assert path.times[1] == 1.0 / n_steps
             # y drifts with the step actually simulated
             rng = np.random.default_rng(9)
-            w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(n_steps) * np.sqrt(path.step))))
+            dw = rng.standard_normal(n_steps) * np.sqrt(path.times[1])
+            w = np.concatenate(([0.0], np.cumsum(dw)))
             np.testing.assert_allclose(path.y, w + toy.gammas[2] * path.times, rtol=0, atol=1e-12)
 
     def test_rows_stay_on_simplex(self, toy):
@@ -195,11 +196,21 @@ STEPPED = {
 
 
 @pytest.mark.parametrize(
-    "T, step", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (0.0, 1e-3), (1.0, -1e-3)]
+    "T, step",
+    [
+        (math.inf, 1e-3),
+        (math.nan, 1e-3),
+        (1.0, math.nan),
+        (0.0, 1e-3),
+        (1.0, -1e-3),
+        (1.0, 1e-320),  # T / step overflows to inf
+        (1e300, 1e-10),
+    ],
 )
 @pytest.mark.parametrize("caller", list(STEPPED))
 def test_horizon_and_step_checked_once(toy, caller, T, step):
-    """A non-finite or non-positive T, or a NaN or non-positive step, is a ValueError naming both."""
+    """A non-finite or non-positive T, a NaN or non-positive step, or an infinite
+    T / step is a ValueError naming both."""
     with pytest.raises(ValueError, match=re.escape(f"T={T}, step={step}")):
         STEPPED[caller](toy, T, step)
 
