@@ -174,13 +174,15 @@ class CachedStrategy:
         # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
         root = np.sqrt(t + dt)
         low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
-        self.band_lo = np.floor((low - _BAND_SD * root) / h).astype(np.int64) - 1
-        self.band_hi = np.floor((high + _BAND_SD * root) / h).astype(np.int64) + 2
+        # every band and region holds 0, so an index past int32 would need a row
+        # of 2^31 lattice points; int32 halves what the table keeps per step
+        self.band_lo = np.floor((low - _BAND_SD * root) / h).astype(np.int32) - 1
+        self.band_hi = np.floor((high + _BAND_SD * root) / h).astype(np.int32) + 2
         reach_lo = np.minimum(low, b * gam[0] * t) - _REGION_SD * root
         reach_hi = np.maximum(high, b * gam[-1] * t) + _REGION_SD * root
         # the region reaches past the band by 4.5 sqrt(dt) or more, which holds the stencil's 2 h
-        self.region_lo = np.floor(reach_lo / h).astype(np.int64)
-        self.region_hi = np.ceil(reach_hi / h).astype(np.int64)
+        self.region_lo = np.floor(reach_lo / h).astype(np.int32)
+        self.region_hi = np.ceil(reach_hi / h).astype(np.int32)
         self.points = int((self.region_hi - self.region_lo + 1)[:-1].sum())
 
         # each segment holds _SEGMENT_ENTRIES row entries at most, plus its first row

@@ -62,7 +62,9 @@ REL_TOL = 1e-9
 MIN_NODES = 8
 
 #: Working-set bound of the quadrature kernel in (point x node x state)
-#: entries; larger chunks raise peak memory without running faster.
+#: entries: each chunk of points runs in one buffer of at most this size,
+#: reused by every chunk of a call; larger chunks raise peak memory without
+#: running faster.
 _CHUNK_ENTRIES = 16_384
 
 #: Quadrature panel half-width in effective standard deviations: the gaps
@@ -167,35 +169,41 @@ def _fk_level(
     ``mix`` in [1, d].  The node's log integrand is then its log weight plus
     (top + log mix) / (1 - alpha), and f is the sum of the shifted terms
     weighted by exp(node - max node) / mix, normalized at the end.  No
-    intermediate leaves [0, 1] or double range.  Points are processed in
-    chunks of at most _CHUNK_ENTRIES (point x node x state) entries.
+    intermediate leaves [0, 1] or double range.  The set-up is (P, d) per call;
+    chunks of at most _CHUNK_ENTRIES (point x node x state) entries share one buffer.
     """
     x, w = _legendre_rule(n_nodes)
     one_minus = 1.0 - alpha
+    # the mixture and the clipped panel bounds do not depend on the chunking:
+    # set up once for all P points; the nodes z and their log weights stay per
+    # chunk, since (P, K) arrays would break the _CHUNK_ENTRIES bound
+    log_p, means = _stabilized(model, alpha, t, T, y)  # (P, d)
+    a, b = means - _HALF_WIDTH, means + _HALF_WIDTH
+    mid = 0.5 * (means[:, :-1] + means[:, 1:])
+    a[:, 1:] = np.maximum(a[:, 1:], mid)
+    b[:, :-1] = np.minimum(b[:, :-1], mid)
+    half, centre = (0.5 * (b - a))[..., None], (0.5 * (a + b))[..., None]
     chunk = max(1, _CHUNK_ENTRIES // (model.d * n_nodes * model.d))
+    buf = np.empty((min(chunk, t.size), model.d, model.d * n_nodes))
     out = np.empty((t.size, model.d))
     for lo in range(0, t.size, chunk):
         part = slice(lo, lo + chunk)
-        log_p, means = _stabilized(model, alpha, t[part], T[part], y[part])  # (P, d)
-        a = means - _HALF_WIDTH
-        b = means + _HALF_WIDTH
-        mid = 0.5 * (means[:, :-1] + means[:, 1:])
-        a[:, 1:] = np.maximum(a[:, 1:], mid)
-        b[:, :-1] = np.minimum(b[:, :-1], mid)
-        half = (0.5 * (b - a))[..., None]
-        z = (half * x + 0.5 * (a + b)[..., None]).reshape(means.shape[0], -1)  # (P, K)
-        log_w = np.log(half * w).reshape(z.shape)
+        z = (half[part] * x + centre[part]).reshape(-1, buf.shape[2])  # (chunk, K)
 
         # log of p_k phi_k(z) up to a term shared by all k and z, which cancels
         # in f; states on the middle axis, so the reductions over them are
-        # elementwise passes over contiguous node rows
-        joint = log_p[:, :, None] - 0.5 * one_minus * (z[:, None, :] - means[..., None]) ** 2
-        top = joint.max(axis=1)  # (P, K)
+        # elementwise passes over contiguous node rows.  Formed in place in the
+        # order of log_p - 0.5 * one_minus * (z - m) ** 2, so every bit is that
+        # expression's and the chunking never changes a bit of the output
+        joint = np.subtract(z[:, None, :], means[part, :, None], out=buf[: len(z)])
+        np.multiply(0.5 * one_minus, np.square(joint, out=joint), out=joint)
+        np.subtract(log_p[part, :, None], joint, out=joint)
+        top = joint.max(axis=1)  # (chunk, K)
         # the one exp pass: the largest entry per node is 1, so mix lies in [1, d]
-        resp = np.exp(joint - top[:, None, :])
+        resp = np.exp(np.subtract(joint, top[:, None, :], out=joint), out=joint)
         mix = resp.sum(axis=1)
         # log of the stabilized integrand (mixture)^(1/(1-alpha)) times the node weight
-        node = log_w + (top + np.log(mix)) / one_minus
+        node = np.log(half[part] * w).reshape(z.shape) + (top + np.log(mix)) / one_minus
         # resp / mix are the responsibilities: the posterior state weights at
         # the shifted observation y + z sqrt(T - t)
         weight = np.exp(node - node.max(axis=1, keepdims=True)) / mix
@@ -233,14 +241,14 @@ def evaluate_points(
     InvalidAlpha
         Unless alpha is a finite number < 1.
     ValueError
-        Unless every point has finite 0 <= t <= T.
+        Unless every point has finite y and finite 0 <= t <= T.
     """
     _check_alpha(alpha)
     t, T, y = (np.asarray(a, dtype=float) for a in (t, T, y))
     # L_0 = 1: at T = 0 the weights are the prior for any y (quadrature needs T > 0)
     t, T, y = np.broadcast_arrays(t, T, np.where(T == 0.0, 0.0, y))
-    if not np.all(np.isfinite(T) & (0.0 <= t) & (t <= T)):
-        raise ValueError("need finite 0 <= t <= T at every point")
+    if not np.all(np.isfinite(T) & np.isfinite(y) & (0.0 <= t) & (t <= T)):
+        raise ValueError("need finite y and finite 0 <= t <= T at every point")
     shape = t.shape
     gam = model.gammas
     scale = model.sigma * (1.0 - alpha)
@@ -276,9 +284,7 @@ def evaluate_points(
             break
         n *= 2
     u = _state_sum(f, gam) / scale
-    return (
-        u.reshape(shape), f.reshape(shape + (model.d,)), failed.reshape(shape), nodes.reshape(shape)
-    )
+    return tuple(a.reshape(shape + a.shape[1:]) for a in (u, f, failed, nodes))
 
 
 def optimal_fraction(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,45 @@ class TestKernelReference:
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=1e-14)
 
+    def test_chunking_never_changes_a_bit(self, monkeypatch):
+        """One entry per chunk, the default and one chunk for all give the same bits."""
+        rng = np.random.default_rng(77)
+        default = strategy_mod._CHUNK_ENTRIES
+        for _ in range(24):
+            m = close_drift_market(rng)
+            alpha = float(rng.uniform(-10.0, 0.9))
+            n = int(rng.choice([8, 64]))
+            # several default-sized chunks and a partial last one
+            chunk = max(1, default // (m.d * n * m.d))
+            P = 2 * chunk + int(rng.integers(1, chunk + 1))
+            T = 10.0 ** rng.uniform(-2.0, 3.0, size=P)
+            t = T * rng.random(P)
+            y = rng.normal(0.0, 2.0, size=P) * np.sqrt(T)
+            outs = []
+            for entries in (1, default, 1 << 30):
+                monkeypatch.setattr(strategy_mod, "_CHUNK_ENTRIES", entries)
+                outs.append(strategy_mod._fk_level(m, alpha, t, T, y, n))
+            assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+    def test_working_set_per_point(self):
+        """Doubling the points adds at most 16 doubles per (point x state) of peak memory."""
+        m = new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
+        rng = np.random.default_rng(3)
+        inputs = []
+        for P in (2000, 4000):
+            T = 10.0 ** rng.uniform(-1.0, 2.0, size=P)
+            inputs.append((T * rng.random(P), T, rng.normal(0.0, 1.0, size=P) * np.sqrt(T)))
+        strategy_mod._fk_level(m, 0.5, *inputs[0], 256)  # warm up the node rule cache
+        peaks = []
+        for t, T, y in inputs:
+            tracemalloc.start()
+            try:
+                strategy_mod._fk_level(m, 0.5, t, T, y, 256)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 8 <= 16 * 2000 * m.d
+
 
 class TestStateSum:
     def test_bit_equal_to_python_left_to_right_sum(self):
@@ -287,6 +328,16 @@ class TestGridEvaluator:
         for t, T in ((2.0, 1.0), (-0.1, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
             with pytest.raises(ValueError):
                 strategy_mod.evaluate_points(toy, 0.5, t, T, 0.0)
+
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, toy, y):
+        with pytest.raises(ValueError, match="finite y"):
+            strategy_mod.evaluate_points(toy, 0.5, 0.0, 1.0, y)
+        with pytest.raises(ValueError, match="finite y"):
+            strategy_mod.evaluate_points(toy, 0.5, 0.5, 1.0, [0.0, y])
+        # where T = 0 the observation is pinned to 0 before the check
+        u = strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, y)[0]
+        assert u == strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, 0.0)[0]
 
 
 class TestMonteCarloOracle:
