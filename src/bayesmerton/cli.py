@@ -374,7 +374,6 @@ def cmd_optcheck(config: RunConfig) -> int:
         step=_sim_step(config),
         n_paths=config.n_paths,
         seed=config.seed,
-        quad=config.quad,
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     with open(config.out_dir / "optcheck.json", "w") as fh:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .filtering import _n_steps, log_normalizer, posterior_weights
 from .model import MarketModel, _check_alpha
-from .strategy import QuadratureConfig, QuadratureNotConverged, _state_sum, evaluate_points
+from .strategy import QuadratureNotConverged, _state_sum, evaluate_points
 
 #: The strategy table's lattice step is at most sqrt(dt) / _ROW_RES and
 #: _GAP_STEP over the largest gap between adjacent gammas.
@@ -145,14 +145,17 @@ class CachedStrategy:
     Lagrange cubic through the four nearest lattice points.  A t outside
     [0, T] raises ValueError.  y beyond a row's band clamps to its edge;
     ``clamped`` counts those out of ``lookups``, the y values looked up
-    through calls (the build's probe check does not count).
+    through calls (the probe check does not count).
 
     Rows are kept in segments of consecutive steps of about
     _SEGMENT_ENTRIES entries: the first segment's rows, and the solve's state
     at the last step of every segment, from which a call in another segment
-    solves it again, bit for bit.  :func:`build_feedback_strategy` runs the
-    solve and sets ``probe_error``, the worst error at its probes.  An alpha
-    that is not a finite number < 1 raises InvalidAlpha before any lattice.
+    solves it again, bit for bit.  The constructor runs the solve, then
+    probes it (:meth:`_walk`) against doubling-verified
+    :func:`~bayesmerton.strategy.evaluate_points` and sets ``probe_error``,
+    the worst miss.  An alpha that is not a finite number < 1 raises
+    InvalidAlpha before any lattice, a probe at the node cap
+    QuadratureNotConverged, and a row that is not finite CacheProbeFailed.
     """
 
     def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
@@ -188,14 +191,15 @@ class CachedStrategy:
         # each segment holds _SEGMENT_ENTRIES row entries at most, plus its first row
         number = np.cumsum(self.band_hi - self.band_lo + 1) // _SEGMENT_ENTRIES
         self._firsts = np.flatnonzero(np.diff(number, prepend=-1)).tolist()
-        # filled by _walk: row n, each segment's checkpoint, and segment 0's rows
-        self._top: np.ndarray | None = None
-        self._checkpoints: list[np.ndarray] = []
-        self._rows: list[np.ndarray] | None = None
-        self._segment = 0
-        self.probe_error: float | None = None  # set by build_feedback_strategy
+        del t, root, low, high, reach_lo, reach_hi, number  # freed before the solve
         self.lookups = 0
         self.clamped = 0
+        t, probes, cached = self._walk()
+        # after the walk, so none of its region-sized arrays outlive it into the probe call
+        direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes)
+        if failed.any():
+            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
+        self.probe_error = float(np.max(np.abs(cached - direct)))
 
     def _band(self, i: int, values: np.ndarray) -> np.ndarray:
         """The entries of values over region i that lie in row i's band."""
@@ -229,14 +233,16 @@ class CachedStrategy:
                 rows.append(self._u(i, state))
         return rows[::-1], state
 
-    def _walk(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve back from T once, keeping every segment's checkpoint and the first segment's rows.
 
-        Returns, for each step in ``at``, the y mid-cell where that row's fourth
+        Returns, for ``_PROBE_POINTS`` grid steps after 0 drawn from
+        ``_PROBE_SEED``, the time, the y mid-cell where that row's fourth
         difference is largest, which is where the cubic in y errs most (about
         3/128 of that difference), and the table's u* there.  A row that is
         not finite raises CacheProbeFailed.
         """
+        at = np.random.default_rng(_PROBE_SEED).integers(1, self.n + 1, size=_PROBE_POINTS)
         gam = self.model.gammas
         x = np.arange(self.region_lo[-1], self.region_hi[-1] + 1) * self.h
         log_g = self._b * log_normalizer(self.model, self.T, x) - self._tilt * x
@@ -245,23 +251,26 @@ class CachedStrategy:
         self._top = self._band(self.n, m) / self._scale
         state = g + 1j * (g * (m - gam[0]))
         probes, cached = np.empty((2, at.size))
+        self._checkpoints, rows = [], None
         for s in reversed(range(len(self._firsts))):
             self._checkpoints.append(state)
-            self._rows = None  # free the last segment's rows before solving this one
-            self._rows, state = self._solve(s, state)
-            if not all(np.isfinite(row).all() for row in self._rows):
+            rows = None  # free the last segment's rows before solving this one
+            rows, state = self._solve(s, state)
+            if not all(np.isfinite(row).all() for row in rows):
                 raise CacheProbeFailed("table rows not finite: the solve left double range")
             first = self._firsts[s]
-            for p in np.flatnonzero((first <= at) & (at < first + len(self._rows))).tolist():
+            for p in np.flatnonzero((first <= at) & (at < first + len(rows))).tolist():
                 i = int(at[p])
-                row = self._rows[i - first]
+                row = rows[i - first]
                 cell = self.band_lo[i] + 1 + int(np.argmax(np.abs(np.diff(row, 4))))
                 probes[p] = (cell + 0.5) * self.h
                 cached[p] = _cubic(row, self.band_lo[i], self.h, probes[p : p + 1])[0][0]
             if first:
                 state = self._back(first - 1, state)
         self._checkpoints.reverse()
-        return probes, cached
+        self._rows, self._segment = rows, 0
+        # n dt can round past T, which evaluate_points rejects
+        return np.minimum(at * self.dt, self.T), probes, cached
 
     def _row(self, i: int) -> np.ndarray:
         s = bisect.bisect_right(self._firsts, i) - 1
@@ -294,16 +303,12 @@ def build_feedback_strategy(
     alpha: float,
     T: float,
     step: float,
-    quad: QuadratureConfig = QuadratureConfig(),
 ) -> CachedStrategy:
     """Tabulate u* for fast path simulation on the stepper's grid of ``_n_steps(T, step)``.
 
     One backward heat solve (:class:`CachedStrategy`) fills the rows for
-    every alpha and d.  ``_PROBE_POINTS`` rows at random grid times after 0
-    are each probed mid-cell where their fourth difference is largest, which
-    is where the cubic in y errs most; a doubling-verified
-    ``evaluate_points`` call from ``quad.nodes`` there must match the table
-    to PROBE_TOL, and while it does not, the lattice step halves, at most
+    every alpha and d and sets the table's ``probe_error``.  That must be
+    below PROBE_TOL, and while it is not, the lattice step halves, at most
     _HALVINGS times.
 
     Error budget: rows sit within about 1e-12 of doubling-verified values at
@@ -324,16 +329,9 @@ def build_feedback_strategy(
     """
     _check_alpha(alpha)
     n_steps = _n_steps(T, step)
-    at = np.random.default_rng(_PROBE_SEED).integers(1, n_steps + 1, size=_PROBE_POINTS)
     for halvings in range(_HALVINGS + 1):
+        strat = None  # free a failed table before solving the finer one
         strat = CachedStrategy(model, alpha, T, n_steps, halvings)
-        probes, cached = strat._walk(at)
-        # n dt can round past T, which evaluate_points rejects
-        t = np.minimum(at * strat.dt, T)
-        direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes, quad)
-        if failed.any():
-            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
-        strat.probe_error = float(np.max(np.abs(cached - direct)))
         if strat.probe_error < PROBE_TOL:
             return strat
     raise CacheProbeFailed(
@@ -395,7 +393,9 @@ def terminal_wealth(
     values and their order are those of drawing each step's increments in
     turn, so the output is the same bit for bit.  The thread is joined
     before the call returns or raises, and an exception it meets is raised
-    here.
+    here.  Below about 1000 paths the handoff, about 20 us a step, costs
+    more than the draw it hides (2 paths x 20000 steps on a 2-vCPU Xeon:
+    about 0.75 s, against 0.31 s drawn on one thread).
     """
     n_steps = _n_steps(T, step)
     if n_paths < 1:
@@ -464,7 +464,6 @@ def optimality_check(
     step: float,
     n_paths: int,
     seed: int,
-    quad: QuadratureConfig = QuadratureConfig(),
 ) -> dict:
     """Compare the candidate optimal strategy against scaled perturbations.
 
@@ -474,7 +473,7 @@ def optimality_check(
     perturbed, path by path), and whether the reference is undominated
     within 3 paired standard errors.  Its ``step`` is the step simulated,
     ``T / round(T / step)``.  ``probe_error`` is the table's worst error
-    against direct evaluation at the build's probes,
+    against direct evaluation at its probes (see :class:`CachedStrategy`),
     ``clamped_frac`` the fraction of the simulation's strategy lookups that
     fell outside a table row's band, ``table_step`` the lattice step of the
     table's heat solve and ``table_points`` the lattice points it convolved
@@ -485,7 +484,7 @@ def optimality_check(
     if n_paths < 2:
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
-    base = build_feedback_strategy(model, alpha, T, step, quad)
+    base = build_feedback_strategy(model, alpha, T, step)
     _, log_xt = terminal_wealth(model, base, scales, T, step, n_paths, seed)
     utils = _utilities(log_xt, alpha, 1.0)
 

@@ -86,9 +86,9 @@ class QuadratureConfig:
     """Gaussian-integral engine settings.
 
     ``nodes`` is the per-panel Gauss-Legendre order that direct evaluations
-    (:func:`optimal_fraction`, the horizon sweep, the strategy cache's
-    probes) start doubling from, from MIN_NODES to NODE_CAP; the strategy
-    cache's table runs no Gauss-Legendre quadrature (see
+    (:func:`optimal_fraction` and the horizon sweep) start doubling from,
+    from MIN_NODES to NODE_CAP; the strategy cache's table runs no
+    Gauss-Legendre quadrature, and its probes start from the default (see
     :class:`~bayesmerton.simkit.CachedStrategy`).  The panel half-width
     _HALF_WIDTH and the doubling target REL_TOL are fixed.
     """

@@ -93,6 +93,10 @@ class TestJensenBound:
         with pytest.raises(InvalidAlpha):
             jensen_lower_bound_fd(toy, -0.5, 0.0, 1.0, 0.0)
 
+    def test_time_past_horizon_rejected(self, toy):
+        with pytest.raises(ValueError, match="need 0 <= t <= T"):
+            jensen_lower_bound_fd(toy, 0.5, 2.0, 1.0, 0.0)
+
 
 class TestPessimistBound:
     def test_lambda_interval_example(self):
@@ -137,6 +141,10 @@ class TestPessimistBound:
     def test_positive_alpha_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
             pessimist_lower_bound_f1(toy, 0.5, 0.0, 5.0, 0.0)
+
+    def test_time_at_horizon_rejected(self, toy):
+        with pytest.raises(ValueError, match="need 0 <= t < T"):
+            pessimist_lower_bound_f1(toy, -0.5, 1.0, 1.0, 0.0)
 
 
 def _exponent_scale(model, b: float, T: float, y: float) -> float:

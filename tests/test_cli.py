@@ -108,6 +108,27 @@ class TestEval:
         assert main(["--config", str(tmp_path / "nope.json"), "eval"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not valid JSON"),
+        ("[1, 2]", "config root must be a JSON object"),
+        (json.dumps({"market": TOY_MARKET, "alpha": 0.5, "sim": 3}),
+         "config section 'sim' must be an object"),
+        (json.dumps({"market": 3, "alpha": 0.5}), "config section 'market' must be an object"),
+        (json.dumps({"market": TOY_MARKET}), "config is missing alpha"),
+        (json.dumps({"market": {"r": 0.0, "sigma": 1.0, "prior": [1.0]}, "alpha": 0.5}),
+         "config is missing market.mus"),
+        (json.dumps({"market": TOY_MARKET, "alpha": 0.5, "sim": {"n_paths": 0}}),
+         "sim.n_paths must be >= 1, got 0"),
+    ], ids=["bad-json", "list-root", "sim-not-object", "market-not-object", "no-alpha",
+            "no-mus", "no-paths"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "eval"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+
     def test_null_field_exits_2_naming_field(self, tmp_path, out_dir, capsys):
         for name, extra in (
             ("sim.n_paths", {"sim": {"n_paths": None}}),
@@ -444,6 +465,18 @@ class TestSweep:
         )
         assert not (out_dir / "sweep.csv").exists()
 
+    def test_single_horizon_widens_x_range(self, tmp_path, out_dir):
+        """One horizon T plots over [T, T + 1], so its one point sits on the left margin."""
+        cfg = write_config(tmp_path, out_dir, sweep={"horizons": [4]})
+        assert main(["--config", cfg, "sweep"]) == 0
+        rows = list(csv.reader((out_dir / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == 2 and float(rows[1][0]) == 4.0
+        poly = ET.fromstring((out_dir / "sweep.svg").read_text()).find(
+            ".//{http://www.w3.org/2000/svg}polyline"
+        )
+        points = poly.attrib["points"].split()
+        assert len(points) == 1 and float(points[0].split(",")[0]) == 70.0
+
     def test_single_state_flat_line(self, tmp_path, out_dir):
         cfg = tmp_path / "d1.json"
         cfg.write_text(json.dumps({
@@ -622,6 +655,22 @@ class TestOptcheck:
         assert main(["--config", cfg, "optcheck"]) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "CacheProbeFailed"
+        assert not (out_dir / "optcheck.json").exists()
+
+    def test_probes_not_converged_exits_3(self, tmp_path, out_dir, capsys, monkeypatch):
+        def unsettled(model, alpha, t, T, y, n_nodes):
+            return np.full((t.size, model.d), np.nan)
+
+        monkeypatch.setattr(strategy, "_fk_level", unsettled)
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 0.01, "n_paths": 100, "seed": 5},
+        )
+        assert main(["--config", cfg, "optcheck"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "QuadratureNotConverged", "message": "31 cache probes did not converge",
+        }
         assert not (out_dir / "optcheck.json").exists()
 
     def test_utility_overflow_exits_3(self, tmp_path, out_dir, capsys):

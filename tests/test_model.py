@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ class TestNewMarket:
     def test_unordered_drifts_rejected(self):
         with pytest.raises(UnorderedDrifts):
             new_market(0.0, 1.0, (2.0, 1.0), (0.5, 0.5))
+
+    def test_infinite_drift_rejected(self):
+        with pytest.raises(UnorderedDrifts, match="drift values must be finite"):
+            new_market(0.0, 1.0, (1.0, math.inf), (0.5, 0.5))
 
     def test_tied_drifts_rejected(self):
         with pytest.raises(UnorderedDrifts):
@@ -111,6 +117,10 @@ class TestStrategyQuery:
     def test_t_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
             StrategyQuery(t=2.0, T=1.0, y=0.0)
+
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(ValueError, match="query fields must be finite"):
+            StrategyQuery(math.nan, 1.0, 0.0)
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):

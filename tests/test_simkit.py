@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bayesmerton import (
-    QuadratureConfig,
     StrategyQuery,
     log_utility_fraction,
     merton_fraction,
@@ -24,6 +23,7 @@ from bayesmerton.simkit import (
     terminal_wealth,
 )
 from bayesmerton.filtering import _time_grid
+from bayesmerton.strategy import QuadratureNotConverged
 from oracles import serial_terminal_wealth
 
 
@@ -157,6 +157,10 @@ class TestSimulatePaths:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 16_000
+
+    def test_no_paths_rejected(self, toy):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            terminal_wealth(toy, lambda t, y: 0.5, [1.0], T=1.0, step=0.1, n_paths=0, seed=1)
 
     def test_step_not_dividing_horizon_ends_at_horizon(self):
         m = new_market(0.03, 1.0, (0.08,), (1.0,))
@@ -479,6 +483,25 @@ class TestCachedStrategy:
         assert toy_strategy.probe_error is not None
         assert toy_strategy.probe_error < PROBE_TOL
 
+    def test_constructor_returns_a_finished_table(self, toy):
+        """The constructor solves and probes: the table looks up like a built one, bit for bit."""
+        table = simkit.CachedStrategy(toy, 0.5, 1.0, 100, 0)
+        assert type(table.probe_error) is float and table.probe_error < PROBE_TOL
+        built = build_feedback_strategy(toy, 0.5, 1.0, 0.01)
+        y = np.linspace(-3.0, 3.0, 25)
+        for t in (0.5, 1.0):
+            np.testing.assert_array_equal(table(t, y), built(t, y))
+
+    def test_probes_at_node_cap_raise(self, toy, monkeypatch):
+        """Probes still moving at the node cap raise; the one at t = T takes the closed form."""
+
+        def unsettled(model, alpha, t, T, y, n_nodes):
+            return np.full((t.size, model.d), np.nan)
+
+        monkeypatch.setattr(strategy_mod, "_fk_level", unsettled)
+        with pytest.raises(QuadratureNotConverged, match="^31 cache probes did not converge$"):
+            build_feedback_strategy(toy, 0.5, 1.0, 0.01)
+
     def test_log_utility_cache(self, toy):
         strat = build_feedback_strategy(toy, 0.0, 1.0, 1e-3)
         assert strat.probe_error < PROBE_TOL
@@ -549,6 +572,16 @@ class TestCachedStrategy:
         for i, row in enumerate(kept):
             np.testing.assert_array_equal(strat._row(i), row)
 
+    @pytest.mark.parametrize("n_steps", [1_000, 4_000])
+    def test_segments_hold_their_entry_budget(self, toy, n_steps):
+        """Each segment's rows hold _SEGMENT_ENTRIES entries at most, plus its first row."""
+        strat = build_feedback_strategy(toy, 0.5, 1.0, 1.0 / n_steps)
+        widest = int((strat.band_hi - strat.band_lo).max()) + 1
+        assert len(strat._firsts) > 1
+        for first in strat._firsts:
+            strat._row(first)  # solves first's segment
+            assert sum(row.size for row in strat._rows) <= simkit._SEGMENT_ENTRIES + widest
+
     @pytest.mark.parametrize("name, alpha, T", ONCE_FAILING)
     def test_once_failing_markets_build(self, name, alpha, T):
         """Probes pass, and simulated (t, Y_t) match direct evaluation to PROBE_TOL."""
@@ -588,15 +621,14 @@ class TestRightSizedTable:
     def test_rows_match_doubling_verified_values(self, name, alpha, T):
         """Every 8th node of every 50th row, and of the first and last, within 1e-10 relative."""
         model = market(name)
-        quad = QuadratureConfig()
-        strat = build_feedback_strategy(model, alpha, T, T / 1000, quad)
+        strat = build_feedback_strategy(model, alpha, T, T / 1000)
         n = strat.n
         # the evaluator's roundoff floor on top of the relative target
         atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * (1.0 - alpha)) + 1.0)
         for i in sorted({0, 1, n, *range(0, n, 50)}):
             x, row = table_row(strat, i)
             direct, _, failed, _ = strategy_mod.evaluate_points(
-                model, alpha, i * (T / n), T, x[::8], quad
+                model, alpha, i * (T / n), T, x[::8]
             )
             assert not failed.any()
             assert np.all(np.abs(row[::8] - direct) <= 1e-10 * np.abs(direct) + atol)
