@@ -83,7 +83,7 @@ _PROBE_SEED = 20_060_317
 #: points to this tolerance.
 PROBE_TOL = 1e-4
 
-#: Times the build halves the lattice step after a failed probe check.
+#: Times the table halves its lattice step after a failed probe check.
 _HALVINGS = 2
 
 StrategyFn = Callable[[float, np.ndarray], np.ndarray]
@@ -150,15 +150,23 @@ class CachedStrategy:
     Rows are kept in segments of consecutive steps of about
     _SEGMENT_ENTRIES entries: the first segment's rows, and the solve's state
     at the last step of every segment, from which a call in another segment
-    solves it again, bit for bit.  The constructor runs the solve, then
-    probes it (:meth:`_walk`) against doubling-verified
-    :func:`~bayesmerton.strategy.evaluate_points` and sets ``probe_error``,
-    the worst miss.  An alpha that is not a finite number < 1 raises
-    InvalidAlpha before any lattice, a probe at the node cap
-    QuadratureNotConverged, and a row that is not finite CacheProbeFailed.
+    solves it again, bit for bit.
+
+    The constructor picks the lattice: from h = min(sqrt(dt) / _ROW_RES,
+    _GAP_STEP / the largest gap between gammas) it runs the solve, probes it
+    (:meth:`_walk`) against doubling-verified
+    :func:`~bayesmerton.strategy.evaluate_points`, sets ``probe_error``, the
+    worst miss, and halves h while that is not below PROBE_TOL, at most
+    _HALVINGS times, so a table it returns meets PROBE_TOL.  Error budget:
+    rows sit within about 1e-12 of doubling-verified values at the lattice
+    points (tested at every 8th point of every 50th row on six markets), so
+    PROBE_TOL bounds what is left, the cubic in y.  An alpha that is not a
+    finite number < 1 raises InvalidAlpha before any lattice, a probe at the
+    node cap QuadratureNotConverged, and a row that is not finite or a probe
+    error still at PROBE_TOL or more at the finest lattice CacheProbeFailed.
     """
 
-    def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int, halvings: int):
+    def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int):
         _check_alpha(alpha)
         gam = model.gammas
         self.model, self.alpha, self.T, self.n = model, alpha, T, n_steps
@@ -168,12 +176,32 @@ class CachedStrategy:
         self._tilt = 0.5 * b * float(gam[0] + gam[-1])
         gap = float(np.diff(gam).max(initial=0.0))
         step = min(math.sqrt(dt) / _ROW_RES, _GAP_STEP / gap if gap else math.inf)
-        self.h = h = step / 2**halvings
+        self.lookups = self.clamped = 0
+        for halvings in range(_HALVINGS + 1):
+            # free a failed table before solving the finer one
+            self._rows = self._checkpoints = self._top = None
+            self._lay_out(step / 2**halvings)
+            t, probes, cached = self._walk()
+            # after the walk, so none of its region-sized arrays outlive it into the probe call
+            direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes)
+            if failed.any():
+                raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
+            self.probe_error = float(np.max(np.abs(cached - direct)))
+            if self.probe_error < PROBE_TOL:
+                return
+        raise CacheProbeFailed(
+            f"strategy cache interpolation error {self.probe_error:.3e} exceeds {PROBE_TOL}"
+        )
+
+    def _lay_out(self, h: float) -> None:
+        """Set the lattice step h, the kernel, every row's band and region, and the segments."""
+        gam, dt, b = self.model.gammas, self.dt, self._b
+        self.h = h
         taps = math.ceil(_KERNEL_SD * math.sqrt(dt) / h)
         z = np.arange(-taps, taps + 1) * h - self._tilt * dt
         self._kernel = np.exp(-0.5 * z * z / dt)
 
-        t = np.arange(n_steps + 1) * dt
+        t = np.arange(self.n + 1) * dt
         # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
         root = np.sqrt(t + dt)
         low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
@@ -191,15 +219,6 @@ class CachedStrategy:
         # each segment holds _SEGMENT_ENTRIES row entries at most, plus its first row
         number = np.cumsum(self.band_hi - self.band_lo + 1) // _SEGMENT_ENTRIES
         self._firsts = np.flatnonzero(np.diff(number, prepend=-1)).tolist()
-        del t, root, low, high, reach_lo, reach_hi, number  # freed before the solve
-        self.lookups = 0
-        self.clamped = 0
-        t, probes, cached = self._walk()
-        # after the walk, so none of its region-sized arrays outlive it into the probe call
-        direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes)
-        if failed.any():
-            raise QuadratureNotConverged(f"{int(failed.sum())} cache probes did not converge")
-        self.probe_error = float(np.max(np.abs(cached - direct)))
 
     def _band(self, i: int, values: np.ndarray) -> np.ndarray:
         """The entries of values over region i that lie in row i's band."""
@@ -306,37 +325,14 @@ def build_feedback_strategy(
 ) -> CachedStrategy:
     """Tabulate u* for fast path simulation on the stepper's grid of ``_n_steps(T, step)``.
 
-    One backward heat solve (:class:`CachedStrategy`) fills the rows for
-    every alpha and d and sets the table's ``probe_error``.  That must be
-    below PROBE_TOL, and while it is not, the lattice step halves, at most
-    _HALVINGS times.
-
-    Error budget: rows sit within about 1e-12 of doubling-verified values at
-    the lattice points (the tests check every 8th point of every 50th row on
-    six markets), so what is left is the cubic in y, which PROBE_TOL bounds.
-
-    Raises
-    ------
-    InvalidAlpha
-        Unless alpha is a finite number < 1, before any table is built.
-    ValueError
-        Unless T is finite and positive, step positive and T / step finite.
-    QuadratureNotConverged
-        If a probe hits the node cap.
-    CacheProbeFailed
-        If a row is not finite (the tilted solve left double range), or if
-        the worst probe error reaches PROBE_TOL at the finest lattice.
+    An alpha that is not a finite number < 1 raises InvalidAlpha, and then a
+    T that is not finite and positive, a step that is not positive or a
+    T / step that is not finite ValueError, before any table is built.  The
+    table is a :class:`CachedStrategy`, which picks its own lattice and
+    returns only with ``probe_error`` below PROBE_TOL, or raises.
     """
     _check_alpha(alpha)
-    n_steps = _n_steps(T, step)
-    for halvings in range(_HALVINGS + 1):
-        strat = None  # free a failed table before solving the finer one
-        strat = CachedStrategy(model, alpha, T, n_steps, halvings)
-        if strat.probe_error < PROBE_TOL:
-            return strat
-    raise CacheProbeFailed(
-        f"strategy cache interpolation error {strat.probe_error:.3e} exceeds {PROBE_TOL}"
-    )
+    return CachedStrategy(model, alpha, T, _n_steps(T, step))
 
 
 def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:

@@ -61,7 +61,7 @@ ALPHA_ENTRIES = {
     ),
     "horizon_sweep": lambda m, a: bayesmerton.horizon_sweep(m, a, 0.0, 0.0, [1.0, 2.0]),
     "build_feedback_strategy": lambda m, a: bayesmerton.build_feedback_strategy(m, a, 1.0, 1e-2),
-    "CachedStrategy": lambda m, a: bayesmerton.CachedStrategy(m, a, 1.0, 100, 0),
+    "CachedStrategy": lambda m, a: bayesmerton.CachedStrategy(m, a, 1.0, 100),
     "optimality_check": lambda m, a: bayesmerton.optimality_check(
         m, a, 1.0, [0.5], 1e-2, 4, 1
     ),

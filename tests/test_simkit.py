@@ -485,7 +485,7 @@ class TestCachedStrategy:
 
     def test_constructor_returns_a_finished_table(self, toy):
         """The constructor solves and probes: the table looks up like a built one, bit for bit."""
-        table = simkit.CachedStrategy(toy, 0.5, 1.0, 100, 0)
+        table = simkit.CachedStrategy(toy, 0.5, 1.0, 100)
         assert type(table.probe_error) is float and table.probe_error < PROBE_TOL
         built = build_feedback_strategy(toy, 0.5, 1.0, 0.01)
         y = np.linspace(-3.0, 3.0, 25)
@@ -596,6 +596,34 @@ class TestCachedStrategy:
         assert not failed.any()
         assert np.max(np.abs(u[::50] - direct)) < PROBE_TOL
 
+    @pytest.mark.parametrize(
+        "name, alpha, halvings",
+        [
+            pytest.param("toy", 0.9, 1, id="toy-alpha0.9"),
+            pytest.param("wide", 0.5, 2, id="wide-alpha0.5"),
+            pytest.param("wide", 0.25, 1, id="wide-alpha0.25"),
+            pytest.param("toy", 0.5, 0, id="toy-alpha0.5"),
+            pytest.param("wide", -0.25, 0, id="wide-alpha-0.25"),
+        ],
+    )
+    def test_constructor_picks_the_lattice(self, name, alpha, halvings):
+        """The table halves its lattice step from h0 until the probes pass."""
+        model = market(name)
+        table = simkit.CachedStrategy(model, alpha, 1.0, 1_000)
+        gap = float(np.diff(model.gammas).max())
+        h0 = min(math.sqrt(1e-3) / simkit._ROW_RES, simkit._GAP_STEP / gap)
+        assert table.h == h0 / 2**halvings
+        assert table.probe_error < PROBE_TOL
+
+    def test_probe_failure_at_finest_lattice_raises(self, toy, monkeypatch):
+        """The tolerance is read when the table is built; the last halving's miss is named."""
+        monkeypatch.setattr(simkit, "PROBE_TOL", 1e-12)
+        with pytest.raises(
+            simkit.CacheProbeFailed,
+            match="^strategy cache interpolation error 3.347e-10 exceeds 1e-12$",
+        ):
+            simkit.CachedStrategy(toy, 0.5, 1.0, 1_000)
+
     def test_range_failure_raises(self, toy):
         """Toy alpha 0.5 at T 100: the tilted solve leaves double range, and no table comes back."""
         with pytest.raises(simkit.CacheProbeFailed, match="not finite"):
@@ -637,6 +665,8 @@ class TestRightSizedTable:
         np.testing.assert_array_equal(row, strategy_mod.evaluate_points(model, alpha, T, T, x)[0])
 
     def test_working_set_does_not_grow_with_horizon(self, toy):
+        # warm up: first-call allocations do not grow with the horizon
+        build_feedback_strategy(toy, 0.5, 1.0, 1e-3)
         peaks = []
         for T in (1.0, 50.0):
             tracemalloc.start()
@@ -684,7 +714,7 @@ class TestOptimalityCheck:
 
     def test_log_utility_runs_the_same_solve(self, toy):
         report = optimality_check(toy, 0.0, 1.0, [0.5], step=0.01, n_paths=200, seed=5)
-        table = simkit.CachedStrategy(toy, 0.0, 1.0, 100, 0)
+        table = simkit.CachedStrategy(toy, 0.0, 1.0, 100)
         assert (report["table_step"], report["table_points"]) == (table.h, table.points)
 
     def test_trivial_perturbation_set(self, toy):
