@@ -407,10 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=_FLAG_TYPES[convert],
                 help=f"override {name}" + (" (comma-separated)" if convert is _numbers else ""),
             )
-    parser.add_argument(
-        "command", choices=["eval", "sweep", "filter-demo", "optcheck"],
-        help="what to run",
-    )
+    parser.add_argument("command", choices=list(_COMMANDS), help="what to run")
     return parser
 
 

@@ -18,10 +18,10 @@ T = 0 take y = 0, and the first row of the CLI's filter demo is the prior.
 
 The same posterior solves a diffusion driven by the innovation process,
 
-    dp_k(t) = (mu_k - mu_hat_t) p_k(t) / sigma dW_hat_t,
+    dp_k(t) = (gamma_k - gamma_hat_t) p_k(t) dW_hat_t,  gamma_hat_t = sum_k p_k(t) gamma_k,
 
-which :func:`simulate_filter_sde` integrates with an Euler scheme as a
-pathwise cross-check of the closed form.
+which :func:`simulate_filter_sde` integrates with an Euler scheme in gamma,
+``dW_hat = dY - gamma_hat dt``, as a pathwise cross-check of the closed form.
 """
 
 from __future__ import annotations
@@ -153,10 +153,9 @@ def simulate_filter_sde(
     rng = np.random.default_rng(seed)
     dw = (rng.standard_normal(n_steps) * np.sqrt(step)).tolist()
 
-    mus = model.mus.tolist()
-    sigma = float(model.sigma)
-    mu_true = mus[true_drift_index]
-    drift = float(model.gammas[true_drift_index]) * step
+    gammas = model.gammas.tolist()
+    gamma_true = gammas[true_drift_index]
+    drift = gamma_true * step
     lo, hi = _EULER_GUARD
     floor = _EULER_FLOOR
 
@@ -165,14 +164,14 @@ def simulate_filter_sde(
     ys = array("d", [0.0])
     y = 0.0
     for i, dwi in enumerate(dw):
-        mu_hat = 0.0
-        for pk, mk in zip(p, mus):
-            mu_hat += pk * mk
-        dw_hat = dwi + (mu_true - mu_hat) / sigma * step
+        gamma_hat = 0.0
+        for pk, gk in zip(p, gammas):
+            gamma_hat += pk * gk
+        dw_hat = dwi + (gamma_true - gamma_hat) * step
         clipped = []
         total = 0.0
-        for pk, mk in zip(p, mus):
-            pk = pk + pk * (mk - mu_hat) / sigma * dw_hat
+        for pk, gk in zip(p, gammas):
+            pk = pk + pk * (gk - gamma_hat) * dw_hat
             if pk < lo or pk > hi:
                 raise StepTooLarge(
                     f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"

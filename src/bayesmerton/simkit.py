@@ -9,10 +9,10 @@ fraction reproduces the closed-form geometric Brownian solution to roundoff.
 
 One stepper, :func:`terminal_wealth`, moves all paths one time step at a
 time and calls the strategy once per step with every path's observation.
-Two running sums per path, ``gain = sum u_i ((mu_theta - r) dt + sigma dW_i)``
-and ``power = sum u_i^2 dt``, give
-``log X_T = r T + c gain - sigma^2 c^2 power / 2`` for every scaled candidate
-``c * strategy``.  The grid has ``n_steps = filtering._n_steps(T, step)``
+Step i forms ``dY_i = dW_i + gamma_theta dt`` once, for ``y`` and for
+``gain = sum u_i dY_i``; with ``power = sum u_i^2 dt`` and ``sigma dY_i`` the
+stock's excess return, ``log X_T = r T + c sigma gain - sigma^2 c^2 power / 2``
+for every ``c * strategy``.  The grid has ``n_steps = filtering._n_steps(T, step)``
 steps of ``dt = T / n_steps``, so it ends exactly at ``T``; step ``i`` runs
 at time ``i dt`` and no grid array is built, so memory is a few ``n_paths``
 vectors at any step count.
@@ -381,7 +381,8 @@ def terminal_wealth(
     strategy is called once per time step with the time and the observations
     of all paths, and may return a scalar or a vector; every scale sees the
     same noise (common random numbers), which makes the per-path utility
-    differences directly comparable.
+    differences directly comparable.  Each step adds ``gamma_theta dt`` in
+    place to its drawn increments; that dY moves both ``y`` and ``gain``.
 
     The increments are drawn one step ahead on a second thread, into two
     reused ``n_paths`` buffers, while this thread calls the strategy and
@@ -400,7 +401,6 @@ def terminal_wealth(
     sqrt_dt = math.sqrt(dt)
     thetas = _theta_indices(model, n_paths, seed)
     noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    excess_dt = (model.mus[thetas] - model.r) * dt
     gam_dt = model.gammas[thetas] * dt
     y, gain, power = np.zeros((3, n_paths))
     ready, free = queue.SimpleQueue(), queue.SimpleQueue()
@@ -411,18 +411,19 @@ def terminal_wealth(
     try:
         for i in range(n_steps):
             u = strategy(i * dt, y)
-            dw = ready.get()
-            if isinstance(dw, Exception):
-                raise dw
-            gain += u * (excess_dt + model.sigma * dw)
+            dy = ready.get()
+            if isinstance(dy, Exception):
+                raise dy
+            dy += gam_dt
+            gain += u * dy
             power += u * u * dt
-            y = y + (dw + gam_dt)
-            free.put(dw)  # redrawn only once this step is done reading it
+            y = y + dy
+            free.put(dy)  # redrawn only once this step is done reading it
     finally:
         free.put(None)
         drawer.join()
-    c = np.asarray(scales, dtype=float)[:, None]
-    return thetas, model.r * T + c * gain - 0.5 * model.sigma**2 * c * c * power
+    c = model.sigma * np.asarray(scales, dtype=float)[:, None]
+    return thetas, model.r * T + c * gain - 0.5 * c * c * power
 
 
 def _utilities(log_x_terminal: np.ndarray, alpha: float, x0: float) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's stabilized code paths:
 the naive evaluator works on the literal integrands with plain products,
 the Monte Carlo oracle samples the two defining expectations with its own
-log-sum-exp and imports nothing from ``bayesmerton.strategy``, the lower
+log-sum-exp and imports nothing from ``bayesmerton.strategy``, the
+integer-b oracle sums the multinomial expansion of F^b exactly, the lower
 bounds are their likelihood exponents expanded by hand and evaluated in
 mpmath, and the random market generator only uses the public constructor.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
@@ -181,6 +183,29 @@ def pessimist_factor2_reference(
         return float(mp.exp(mp.log(model.prior[0]) + gam[0] * y_tilt - gam[0] ** 2 * T / 2 - log_f))
 
 
+def integer_b_fraction(model: MarketModel, b: int, t, T, y) -> np.ndarray:
+    """u*(t, T, y) at alpha = 1 - 1/b for an integer b >= 1, exact in closed form.
+
+    The multinomial theorem expands F(T, x)^b into C(b + d - 1, d - 1)
+    exponentials in x, one per count vector n with sum b, so
+    G(t, y) = E[F(T, y + W_{T-t})^b] is a finite sum with log weights
+    log multinomial(b; n) + n . log p + Gamma_n y + Gamma_n^2 (T - t) / 2
+    - (n . gamma^2) T / 2, where Gamma_n = n . gamma.  sigma u* = d/dy log G
+    is then the mean of Gamma_n under the softmax of those log weights.
+    Vectorized over broadcast arrays t, T and y.
+    """
+    gam = model.gammas
+    n = np.array([np.bincount(c, minlength=model.d)
+                  for c in combinations_with_replacement(range(model.d), b)])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(b + 1)])
+    slope = n @ gam
+    t, T, y = (np.asarray(v, dtype=float)[..., None] for v in (t, T, y))
+    log_w = (log_fact[b] - log_fact[n].sum(axis=1) + n @ np.log(model.prior) + slope * y
+             + 0.5 * slope**2 * (T - t) - 0.5 * (n @ gam**2) * T)
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    return w @ slope / w.sum(axis=-1) / model.sigma
+
+
 def two_logsumexp_fk(
     model: MarketModel,
     alpha: float,
@@ -265,9 +290,11 @@ def serial_terminal_wealth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``simkit.terminal_wealth`` as one thread: (drift indices, log X_T per scale).
 
-    The stepper written out unchanged from before its increments were drawn
-    ahead: step ``i`` calls the strategy, then draws its own
-    ``standard_normal(n_paths)`` from the ``spawn_key=(1,)`` stream.
+    The stepper as it was before its increments were drawn ahead: step
+    ``i`` calls the strategy, then draws its own ``standard_normal(n_paths)``
+    from the ``spawn_key=(1,)`` stream; the step's sums read
+    ``dY = dW + gamma_theta dt``, ``gain += u dY`` and ``power += u^2 dt``,
+    so ``log X_T = r T + c sigma gain - sigma^2 c^2 power / 2``.
     """
     times = _time_grid(T, step)
     n_steps = times.size - 1
@@ -276,17 +303,16 @@ def serial_terminal_wealth(
     drifts = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     thetas = drifts.choice(model.d, size=n_paths, p=model.prior)
     noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    excess_dt = (model.mus[thetas] - model.r) * dt
     gam_dt = model.gammas[thetas] * dt
     y, gain, power = np.zeros((3, n_paths))
     for i in range(n_steps):
         u = strategy(i * dt, y)
         dw = noise.standard_normal(n_paths) * sqrt_dt
-        gain += u * (excess_dt + model.sigma * dw)
+        gain += u * (dw + gam_dt)
         power += u * u * dt
         y = y + (dw + gam_dt)
-    c = np.asarray(scales, dtype=float)[:, None]
-    return thetas, model.r * T + c * gain - 0.5 * model.sigma**2 * c * c * power
+    c = model.sigma * np.asarray(scales, dtype=float)[:, None]
+    return thetas, model.r * T + c * gain - 0.5 * c * c * power
 
 
 def random_market(

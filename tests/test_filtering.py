@@ -132,6 +132,20 @@ class TestFilterSde:
         np.testing.assert_array_equal(a.probs, b.probs)
         np.testing.assert_array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "sigma, mus", [(1.0, (1.0, 2.0, 3.0)), (0.5, (0.5, 1.0, 1.5))], ids=["sigma1", "sigma0.5"]
+    )
+    def test_reads_the_market_only_through_gamma(self, sigma, mus, seed):
+        """Equal gammas, sigma and prior under another r and other mus: the same path, bit for bit."""
+        base = new_market(0.0, sigma, mus, (0.3, 0.3, 0.4))
+        shifted = new_market(0.25, sigma, tuple(mu + 0.25 for mu in mus), (0.3, 0.3, 0.4))
+        np.testing.assert_array_equal(base.gammas, shifted.gammas)  # dyadic values: exact
+        a = simulate_filter_sde(base, 1, 1.0, 1e-3, seed=seed)
+        b = simulate_filter_sde(shifted, 1, 1.0, 1e-3, seed=seed)
+        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(a.y, b.y)
+
     def test_observation_path_relation(self, toy):
         """y accumulates the same increments plus gamma_theta * t drift."""
         path = simulate_filter_sde(toy, 2, 1.0, 1e-2, seed=9)
@@ -218,8 +232,9 @@ def test_horizon_and_step_checked_once(toy, caller, T, step):
 class TestEulerAgainstNumpyLoop:
     """The scalar Euler loop against the whole-vector numpy loop it replaced.
 
-    The two differ only in how the posterior mean is summed: in order here,
-    by the BLAS dot kernel there, which may fuse multiply and add.
+    The two differ in how the posterior mean is summed: in order here, by
+    the BLAS dot kernel there, which may fuse multiply and add; and in its
+    coordinates: gamma here, mu and sigma there.
     """
 
     MARKETS = (

@@ -15,6 +15,8 @@ from bayesmerton import new_market
 from bayesmerton.simkit import PROBE_TOL, CacheProbeFailed, build_feedback_strategy
 from bayesmerton.strategy import evaluate_points
 
+from oracles import integer_b_fraction
+
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
 
@@ -87,3 +89,29 @@ def test_evaluator_stays_in_the_drift_hull(model, alpha, T, frac, y):
     assert np.all(u[ok] <= gam[-1] / scale + slack)
     assert np.all(f[ok] >= 0.0)
     np.testing.assert_allclose(f[ok].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def four_floats(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=4, max_size=4)
+
+
+@FIXED
+@given(
+    model=markets(max_d=20),
+    b=st.integers(2, 4),
+    T=st.floats(0.01, 1e4),
+    frac=four_floats(0.0, 1.0),
+    where=four_floats(0.0, 1.0),
+    z=four_floats(-3.0, 3.0),
+)
+def test_evaluator_matches_integer_b_closed_form(model, b, T, frac, where, z):
+    """At alpha = 1 - 1/b, u* matches the exact multinomial sum to 1e-10 relative.
+
+    y is where paths go: a drift in [gamma_1, gamma_d] times t, plus z sqrt(t).
+    """
+    t = T * np.array(frac)
+    gam = model.gammas
+    y = (gam[0] + np.array(where) * (gam[-1] - gam[0])) * t + np.array(z) * np.sqrt(t)
+    u, _, failed, _ = evaluate_points(model, 1.0 - 1.0 / b, t, T, y)
+    assert not failed.any()
+    np.testing.assert_allclose(u, integer_b_fraction(model, b, t, T, y), rtol=1e-10, atol=0)

@@ -24,7 +24,7 @@ from bayesmerton.simkit import (
 )
 from bayesmerton.filtering import _time_grid
 from bayesmerton.strategy import QuadratureNotConverged
-from oracles import serial_terminal_wealth
+from oracles import integer_b_fraction, serial_terminal_wealth
 
 
 @pytest.fixture
@@ -663,6 +663,18 @@ class TestRightSizedTable:
         # t = T is the maturity closed form, bit for bit
         x, row = table_row(strat, n)
         np.testing.assert_array_equal(row, strategy_mod.evaluate_points(model, alpha, T, T, x)[0])
+
+    @pytest.mark.parametrize("name", ["toy", "wide"])
+    def test_rows_match_integer_b_closed_form(self, name):
+        """At alpha 1/2 (b = 2), every lattice point of every 50th row, and of the first and last."""
+        model, alpha, T = market(name), 0.5, 1.0
+        strat = build_feedback_strategy(model, alpha, T, T / 1000)
+        n = strat.n
+        atol = 1e-13 * (np.abs(model.gammas).max() / (model.sigma * (1.0 - alpha)) + 1.0)
+        for i in sorted({0, 1, n, *range(0, n, 50)}):
+            x, row = table_row(strat, i)
+            exact = integer_b_fraction(model, 2, i * (T / n), T, x)
+            assert np.all(np.abs(row - exact) <= 1e-10 * np.abs(exact) + atol)
 
     def test_working_set_does_not_grow_with_horizon(self, toy):
         # warm up: first-call allocations do not grow with the horizon

@@ -16,7 +16,14 @@ from bayesmerton import (
 )
 import bayesmerton.strategy as strategy_mod
 
-from oracles import mc_fraction, naive_ratio_u, random_alpha, random_market, two_logsumexp_fk
+from oracles import (
+    integer_b_fraction,
+    mc_fraction,
+    naive_ratio_u,
+    random_alpha,
+    random_market,
+    two_logsumexp_fk,
+)
 
 
 @pytest.fixture
@@ -409,6 +416,31 @@ class TestNaiveAgreement:
                 sv = optimal_fraction(m, alpha, StrategyQuery(0.0, T, 0.0))
                 assert np.isfinite(sv.u_star)
                 assert m.gammas[0] / scale - 1e-9 <= sv.u_star <= m.gammas[-1] / scale + 1e-9
+
+
+class TestIntegerBOracle:
+    """At alpha = 1 - 1/b with integer b, u* has an exact closed form (tests/oracles.py)."""
+
+    MARKETS = {
+        "toy": new_market(0.0, 1.0, (1.0, 2.0, 3.0), (0.3, 0.3, 0.4)),
+        # gammas from 0.2 to 9.95
+        "wide": new_market(0.01, 0.2, (0.05, 0.3, 0.9, 2.0), (0.25,) * 4),
+    }
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 10])
+    @pytest.mark.parametrize("name", sorted(MARKETS))
+    def test_evaluator_matches_closed_form(self, name, b):
+        model = self.MARKETS[name]
+        points = [
+            (t, T, y)
+            for T in (0.5, 1.0, 8.0, 100.0, 1000.0)
+            for t in (0.0, T / 2)
+            for y in (-1.0, 0.0, 2.0, T)
+        ]
+        t, T, y = (np.array(v) for v in zip(*points))
+        u, _, failed, _ = strategy_mod.evaluate_points(model, 1.0 - 1.0 / b, t, T, y)
+        assert not failed.any()
+        np.testing.assert_allclose(u, integer_b_fraction(model, b, t, T, y), rtol=1e-10, atol=0)
 
 
 class TestStateWeightProfile:
