@@ -14,8 +14,8 @@ Step i forms ``dY_i = dW_i + gamma_theta dt`` once, for ``y`` and for
 stock's excess return, ``log X_T = r T + c sigma gain - sigma^2 c^2 power / 2``
 for every ``c * strategy``.  The grid has ``n_steps = filtering._n_steps(T, step)``
 steps of ``dt = T / n_steps``, so it ends exactly at ``T``; step ``i`` runs
-at time ``i dt`` and no grid array is built, so memory is a few ``n_paths``
-vectors at any step count.
+at time ``i dt``, entry i of ``filtering._time_grid``, and no grid array is
+built, so memory is a few ``n_paths`` vectors at any step count.
 
 The tabulated optimal strategy, :class:`CachedStrategy`, owns the table
 from end to end: it picks the lattice, runs the backward heat solve that
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import _n_steps, log_normalizer, posterior_weights
+from .filtering import _n_steps, _time_grid, log_normalizer, posterior_weights
 from .model import MarketModel, _check_alpha
 from .strategy import QuadratureNotConverged, _state_sum, evaluate_points
 
@@ -118,20 +118,21 @@ def _cubic(row: np.ndarray, first: int, h: float, y: np.ndarray) -> tuple[np.nda
 
 
 class CachedStrategy:
-    """Feedback fraction u*(t, T, y) from a row of a backward heat solve at each grid time.
+    """Feedback fraction u*(t, T, y) from a heat solve's row at each time of ``_time_grid``.
 
     With b = 1 / (1 - alpha) and m(x) the posterior mean of gamma at (T, x),
     G(t, y) = E[F(T, y + W_{T-t})^b] and K(t, y) = E[(F^b (m - gamma_1))(y +
     W_{T-t})] both solve G_t + G_yy / 2 = 0 (the martingale form of Karatzas &
     Zhao 2001), and u* = (gamma_1 + K / G) / (sigma (1 - alpha)).  The state
     at step i is G + iK on the lattice points x_j = j h from ``region_lo[i]``
-    to ``region_hi[i]``; one step back in time correlates it with the N(0, dt)
-    density at the offsets within +-_KERNEL_SD sqrt(dt), taps beyond the
-    region counting as 0: a trapezoid rule, geometrically convergent once h
-    resolves the Gaussian and the posterior's switches.  G and K carry one
-    tilt exp(-a x), a = b (gamma_1 + gamma_d) / 2, which turns the kernel into
-    N(a dt, dt) up to a constant, and each step divides both by the largest G;
-    where G still leaves double range, rows come out non-finite.  Row i spans
+    to ``region_hi[i]``.  G and K carry one tilt exp(-a x), a = b (gamma_1 +
+    gamma_d) / 2, which turns the N(0, dt) density into N(a dt, dt) up to a
+    constant; one step back in time correlates the state with it at the taps
+    within +-_KERNEL_SD sqrt(dt) of the lattice point nearest a dt, taps
+    beyond the region counting as 0: a trapezoid rule, geometrically
+    convergent once h resolves the Gaussian and the posterior's switches.
+    Each step divides G and K by the largest G; where G still leaves double
+    range, the solve stops at its first non-finite value.  Row i spans
     ``band_lo[i] .. band_hi[i]``: [min(0, gamma_1 t), max(0, gamma_d t)] and
     _BAND_SD sqrt(t + dt) either side, plus the cubic's stencil; step i
     convolves only over that band widened to the tilted reach (b gamma_k t)
@@ -140,11 +141,11 @@ class CachedStrategy:
     :func:`~bayesmerton.strategy.evaluate_points` at t = T.  ``points``
     counts the lattice points the n steps convolve over.
 
-    A call at a grid time i T / n_steps reads row i, and a call between grid
-    times blends the two neighbouring rows linearly in t; in y it takes the
-    Lagrange cubic through the four nearest lattice points.  A t outside
-    [0, T] raises ValueError.  y beyond a row's band clamps to its edge;
-    ``clamped`` counts those out of ``lookups``, the y values looked up
+    A call at grid time i reads row i (row n sits exactly at T), and a call
+    between grid times blends the two neighbouring rows linearly in t; in y
+    it takes the Lagrange cubic through the four nearest lattice points.  A
+    t outside [0, T] raises ValueError.  y beyond a row's band clamps to its
+    edge; ``clamped`` counts those out of ``lookups``, the y values looked up
     through calls (the probe check does not count).
 
     Rows are kept in segments of consecutive steps of about
@@ -162,8 +163,8 @@ class CachedStrategy:
     points (tested at every 8th point of every 50th row on six markets), so
     PROBE_TOL bounds what is left, the cubic in y.  An alpha that is not a
     finite number < 1 raises InvalidAlpha before any lattice, a probe at the
-    node cap QuadratureNotConverged, and a row that is not finite or a probe
-    error still at PROBE_TOL or more at the finest lattice CacheProbeFailed.
+    node cap QuadratureNotConverged, and a solve that leaves double range or a
+    probe error still at PROBE_TOL or more at the finest lattice CacheProbeFailed.
     """
 
     def __init__(self, model: MarketModel, alpha: float, T: float, n_steps: int):
@@ -181,7 +182,10 @@ class CachedStrategy:
             # free a failed table before solving the finer one
             self._rows = self._checkpoints = self._top = None
             self._lay_out(step / 2**halvings)
-            t, probes, cached = self._walk()
+            try:
+                t, probes, cached = self._walk()
+            except FloatingPointError:
+                raise CacheProbeFailed("table rows not finite: the solve left double range")
             # after the walk, so none of its region-sized arrays outlive it into the probe call
             direct, _, failed, _ = evaluate_points(model, alpha, t, T, probes)
             if failed.any():
@@ -198,10 +202,12 @@ class CachedStrategy:
         gam, dt, b = self.model.gammas, self.dt, self._b
         self.h = h
         taps = math.ceil(_KERNEL_SD * math.sqrt(dt) / h)
-        z = np.arange(-taps, taps + 1) * h - self._tilt * dt
+        shift = round(self._tilt * dt / h)  # the lattice offset nearest the kernel's mean
+        z = np.arange(shift - taps, shift + taps + 1) * h - self._tilt * dt
         self._kernel = np.exp(-0.5 * z * z / dt)
+        self._lag = taps + shift
 
-        t = np.arange(self.n + 1) * dt
+        t = _time_grid(self.T, dt)
         # sqrt(t + dt) gives row 0 a width, so lookups between rows 0 and 1 stay inside both
         root = np.sqrt(t + dt)
         low, high = np.minimum(0.0, gam[0] * t), np.maximum(0.0, gam[-1] * t)
@@ -227,10 +233,11 @@ class CachedStrategy:
 
     def _back(self, i: int, state: np.ndarray) -> np.ndarray:
         """G + iK at step i from the state at step i + 1."""
-        first = self.region_lo[i] - self.region_lo[i + 1] + self._kernel.size // 2
+        first = self.region_lo[i] - self.region_lo[i + 1] + self._lag
         keep = slice(first, first + self.region_hi[i] - self.region_lo[i] + 1)
-        # full correlation: entry j + taps sums state[j + k] kernel[k + taps], |k| <= taps;
-        # the kernel is real, so G and K do not mix
+        # full correlation: entry j + lag sums state[j + k] kernel[k + taps - shift] over
+        # |k - shift| <= taps; the kernel is real, so G and K do not mix.  On the tilt's
+        # side the region grows by |tilt| dt or more a step, so keep stays inside it
         out = np.correlate(state, self._kernel, "full")[keep]
         out /= out.real.max()
         return out
@@ -244,22 +251,21 @@ class CachedStrategy:
         """Segment s's rows from the state at its last step, and the state at its first."""
         first = self._firsts[s]
         last = self._firsts[s + 1] - 1 if s + 1 < len(self._firsts) else self.n
-        # G underflows to 0 where the tilt leaves double range: those rows are not finite
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = [self._top if last == self.n else self._u(last, state)]
-            for i in range(last - 1, first - 1, -1):
-                state = self._back(i, state)
-                rows.append(self._u(i, state))
+        rows = [self._top if last == self.n else self._u(last, state)]
+        for i in range(last - 1, first - 1, -1):
+            state = self._back(i, state)
+            rows.append(self._u(i, state))
         return rows[::-1], state
 
+    @np.errstate(divide="raise", invalid="raise", over="raise")
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve back from T once, keeping every segment's checkpoint and the first segment's rows.
 
         Returns, for ``_PROBE_POINTS`` grid steps after 0 drawn from
-        ``_PROBE_SEED``, the time, the y mid-cell where that row's fourth
+        ``_PROBE_SEED``, the grid time, the y mid-cell where that row's fourth
         difference is largest, which is where the cubic in y errs most (about
-        3/128 of that difference), and the table's u* there.  A row that is
-        not finite raises CacheProbeFailed.
+        3/128 of that difference), and the table's u* there.  A solve that
+        leaves double range raises FloatingPointError at its first non-finite value.
         """
         at = np.random.default_rng(_PROBE_SEED).integers(1, self.n + 1, size=_PROBE_POINTS)
         gam = self.model.gammas
@@ -275,8 +281,6 @@ class CachedStrategy:
             self._checkpoints.append(state)
             rows = None  # free the last segment's rows before solving this one
             rows, state = self._solve(s, state)
-            if not all(np.isfinite(row).all() for row in rows):
-                raise CacheProbeFailed("table rows not finite: the solve left double range")
             first = self._firsts[s]
             for p in np.flatnonzero((first <= at) & (at < first + len(rows))).tolist():
                 i = int(at[p])
@@ -288,8 +292,7 @@ class CachedStrategy:
                 state = self._back(first - 1, state)
         self._checkpoints.reverse()
         self._rows, self._segment = rows, 0
-        # n dt can round past T, which evaluate_points rejects
-        return np.minimum(at * self.dt, self.T), probes, cached
+        return _time_grid(self.T, self.dt)[at], probes, cached
 
     def _row(self, i: int) -> np.ndarray:
         s = bisect.bisect_right(self._firsts, i) - 1
@@ -468,13 +471,13 @@ def optimality_check(
     ``c * u*`` on common random numbers.  The report carries
     per-strategy utility estimates, paired differences (reference minus
     perturbed, path by path), and whether the reference is undominated
-    within 3 paired standard errors.  Its ``step`` is the step simulated,
-    ``T / round(T / step)``.  ``probe_error`` is the table's worst error
-    against direct evaluation at its probes (see :class:`CachedStrategy`),
-    ``clamped_frac`` the fraction of the simulation's strategy lookups that
-    fell outside a table row's band, ``table_step`` the lattice step of the
-    table's heat solve and ``table_points`` the lattice points it convolved
-    over in its n_steps steps.
+    within 3 paired standard errors.  Paths step on the table's grid, whose
+    ``dt``, ``T / round(T / step)``, is the report's ``step``.  ``probe_error``
+    is the table's worst error against direct evaluation at its probes (see
+    :class:`CachedStrategy`), ``clamped_frac`` the fraction of the
+    simulation's strategy lookups that fell outside a table row's band,
+    ``table_step`` the lattice step of the table's heat solve and
+    ``table_points`` the lattice points it convolved over in its n_steps steps.
     Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
     utilities that overflow double range raise FloatingPointError.
     """
@@ -482,7 +485,7 @@ def optimality_check(
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
     base = build_feedback_strategy(model, alpha, T, step)
-    _, log_xt = terminal_wealth(model, base, scales, T, step, n_paths, seed)
+    _, log_xt = terminal_wealth(model, base, scales, T, base.dt, n_paths, seed)
     utils = _utilities(log_xt, alpha, 1.0)
 
     strategies_report = []
@@ -506,7 +509,7 @@ def optimality_check(
     return {
         "alpha": float(alpha),
         "T": float(T),
-        "step": T / _n_steps(T, step),
+        "step": base.dt,
         "n_paths": int(n_paths),
         "seed": int(seed),
         "probe_error": float(base.probe_error),
