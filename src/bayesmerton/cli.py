@@ -347,7 +347,6 @@ def cmd_filter_demo(config: RunConfig) -> int:
     path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
 
     closed = posterior_weights(model, path.times, path.y)
-    closed[0] = model.prior  # Y_0 = 0: row 0 is the prior itself
     discrepancy = float(np.max(np.abs(path.probs - closed)))
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

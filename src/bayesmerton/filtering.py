@@ -10,11 +10,7 @@ and their prior mixture ``F(t, y) = sum_k p_k L_t(mu_k, y)``.  All products
 are carried in the log domain: the exponents scale like ``gamma^2 T / 2`` and
 overflow doubles beyond ``T ~ 1400 / gamma^2`` otherwise.
 
-One rule holds at t = 0: ``Y_0 = 0`` is the only observation, where L_0 = 1
-and the posterior is the prior.  :func:`posterior_weights` evaluates the
-closed form as written, continuous in t.  The callers that report a t = 0
-value pin it: :func:`log_normalizer` and ``strategy.evaluate_points`` at
-T = 0 take y = 0, and the first row of the CLI's filter demo is the prior.
+At the only observed point, ``Y_0 = 0``, the closed form is the prior.
 
 The same posterior solves a diffusion driven by the innovation process,
 
@@ -92,11 +88,13 @@ def _log_joint(model: MarketModel, t, y) -> np.ndarray:
 
 
 def log_normalizer(model: MarketModel, t: float, y) -> np.ndarray | float:
-    """log F(t, y) = logsumexp_k(log p_k + log L_t(mu_k, y)), max-shifted."""
+    """log F(t, y) = logsumexp_k(log p_k + log L_t(mu_k, y)), max-shifted.
+
+    The normalizer of :func:`posterior_weights` at every t >= 0, so
+    log F(0, y) = log sum_k p_k exp(gamma_k y).
+    """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:  # L_0 = 1 for any y
-        y = np.zeros_like(y, dtype=float)
     out = logsumexp(_log_joint(model, t, y))
     return float(out) if out.ndim == 0 else out
 
@@ -105,10 +103,8 @@ def posterior_weights(model: MarketModel, t, y) -> np.ndarray:
     """Posterior probabilities p_k L_t(mu_k, y) / F(t, y); shape (..., d).
 
     Vectorized over broadcast arrays of times t >= 0 and observations y.
-
-    The closed form is continuous in t at fixed y: at t = 0 it gives weights
-    proportional to p_k exp(gamma_k y), which is the prior at y = 0, the only
-    value Y_0 takes.  A caller reporting a t = 0 posterior pins it there.
+    The closed form holds as written at every t, so at t = 0 the weights
+    are proportional to p_k exp(gamma_k y).
     """
     w = _log_joint(model, t, y)
     w -= w.max(axis=-1, keepdims=True)

@@ -478,12 +478,16 @@ def optimality_check(
     simulation's strategy lookups that fell outside a table row's band,
     ``table_step`` the lattice step of the table's heat solve and
     ``table_points`` the lattice points it convolved over in its n_steps steps.
-    Standard errors need two paths, so ``n_paths < 2`` raises ValueError;
-    utilities that overflow double range raise FloatingPointError.
+    Standard errors need two paths, so ``n_paths < 2`` raises ValueError,
+    as does a non-finite perturbation, before any table is built; utilities
+    that overflow double range raise FloatingPointError.
     """
     if n_paths < 2:
         raise ValueError(f"optimality_check needs n_paths >= 2, got {n_paths}")
     scales = [1.0] + [float(c) for c in perturbations if float(c) != 1.0]
+    for c in scales:
+        if not math.isfinite(c):
+            raise ValueError(f"perturbations must be finite, got {c}")
     base = build_feedback_strategy(model, alpha, T, step)
     _, log_xt = terminal_wealth(model, base, scales, T, base.dt, n_paths, seed)
     utils = _utilities(log_xt, alpha, 1.0)

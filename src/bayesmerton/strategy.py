@@ -223,14 +223,14 @@ def evaluate_points(
     """u*, f, a failure flag and the node count at broadcast arrays of points (t, T, y).
 
     Points with t = T, and all points when d = 1 or alpha = 0, take
-    the posterior-mean Merton closed form f = posterior_weights(model, t, y)
-    (the prior where T = 0), u = f . gamma / (sigma (1 - alpha)), and report
-    0 nodes; the rest run the quadrature.  The per-panel node count doubles
-    from ``quad.nodes`` and each point stops at its own first level whose u*
-    agrees with the previous level's to REL_TOL; the finer value
-    wins and its node count is reported, so the coarser level of the
-    agreeing pair is half of it.  Points still moving at the node cap come
-    back NaN and flagged, reporting the cap.  Every f . gamma is summed in
+    the posterior-mean Merton closed form f = posterior_weights(model, t, y),
+    u = f . gamma / (sigma (1 - alpha)), and report 0 nodes; the rest run
+    the quadrature.  The per-panel node count doubles from ``quad.nodes``
+    and each point stops at its own first level whose u* agrees with the
+    previous level's to REL_TOL; the finer value wins and its node count is
+    reported, so the coarser level of the agreeing pair is half of it.
+    Points still moving at the node cap come back NaN and flagged, reporting
+    the cap.  Every f . gamma is summed in
     state order by :func:`_state_sum`.
 
     Returns ``(u, f, failed, nodes)`` with shapes ``(...)``, ``(..., d)``,
@@ -244,9 +244,7 @@ def evaluate_points(
         Unless every point has finite y and finite 0 <= t <= T.
     """
     _check_alpha(alpha)
-    t, T, y = (np.asarray(a, dtype=float) for a in (t, T, y))
-    # L_0 = 1: at T = 0 the weights are the prior for any y (quadrature needs T > 0)
-    t, T, y = np.broadcast_arrays(t, T, np.where(T == 0.0, 0.0, y))
+    t, T, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, T, y)))
     if not np.all(np.isfinite(T) & np.isfinite(y) & (0.0 <= t) & (t <= T)):
         raise ValueError("need finite y and finite 0 <= t <= T at every point")
     shape = t.shape
@@ -298,9 +296,10 @@ def optimal_fraction(
     Doubles the per-panel node count, starting from ``quad.nodes``, until two
     successive u* values agree to REL_TOL; the finer value wins.  t = T,
     d = 1 and alpha = 0 short-circuit to the posterior-mean Merton closed
-    form before any quadrature; the myopic term is that form at (t, t, y).
-    Log utility is horizon-free, so at alpha = 0 u* is the myopic term
-    itself, :func:`log_utility_fraction`, and the hedging demand is 0.
+    form before any quadrature; the myopic term is that form at (t, t, y),
+    so the hedging demand u* - myopic tends to 0 as T -> t.  Log utility is
+    horizon-free, so at alpha = 0 u* is the myopic term itself,
+    :func:`log_utility_fraction`, and the hedging demand is 0.
 
     Raises
     ------
@@ -309,9 +308,8 @@ def optimal_fraction(
     QuadratureNotConverged
         If the node cap is hit before two levels agree.
     """
-    T = query.t if alpha == 0.0 else query.T
     (u, myopic), (f, _), (failed, _), _ = evaluate_points(
-        model, alpha, query.t, [T, query.t], query.y, quad
+        model, alpha, query.t, [query.T, query.t], query.y, quad
     )
     if failed:
         raise QuadratureNotConverged(f"u_star did not settle to rel_tol {REL_TOL}")
@@ -325,6 +323,6 @@ def log_utility_fraction(model: MarketModel, t: float, y: float) -> float:
     """Optimal fraction under logarithmic utility: (mu_hat(t, y) - r) / sigma^2.
 
     Independent of the horizon: the closed form of :func:`evaluate_points`
-    at (t, t, y), so t = 0 gives the prior mean for every y.
+    at (t, t, y), whose mean is over ``posterior_weights(model, t, y)``.
     """
     return float(evaluate_points(model, 0.0, t, t, y)[0])

@@ -111,7 +111,7 @@ def mc_fraction(
     scale = model.sigma * one_minus
 
     if var == 0.0:
-        probs = posterior_weights(model, query.T, query.y) if query.T else model.prior
+        probs = posterior_weights(model, query.T, query.y)
         return McFraction(
             estimate=float(probs @ gam) / scale,
             std_error=0.0,

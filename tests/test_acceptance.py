@@ -170,7 +170,6 @@ def test_criterion_09_filter_agreement():
         def max_err(step: float, seed: int) -> float:
             path = simulate_filter_sde(TOY, 2, 5.0, step, seed=seed)
             closed = posterior_weights(TOY, path.times, path.y)
-            closed[0] = TOY.prior  # Y_0 = 0: row 0 is the prior, as filter-demo writes it
             return float(np.max(np.abs(path.probs - closed)))
 
         seeds = range(20)

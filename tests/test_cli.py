@@ -87,12 +87,15 @@ class TestEval:
         u = float(out.splitlines()[0].split("=")[1])
         assert u == pytest.approx(1.13230301161, rel=1e-9)
 
-    def test_zero_horizon_needs_no_sim_step(self, tmp_path, out_dir, capsys):
+    def test_zero_horizon_needs_no_sim_step(self, tmp_path, out_dir, capsys, toy):
         # the default sim.step 1e-3 T is 0 here, and eval simulates nothing
         cfg = write_config(tmp_path, out_dir, query={"t": 0.0, "T": 0.0, "y": 1.2})
         assert main(["--config", cfg, "eval"]) == 0
         out = capsys.readouterr().out
-        assert "u_star  = 4.2\n" in out  # prior mean 2.1 / (sigma (1 - alpha)), for any y
+        # the closed form at (0, 1.2): weights p_k exp(gamma_k y), over sigma (1 - alpha)
+        w = toy.prior * np.exp(toy.gammas * 1.2)
+        expected = (float(w @ toy.mus / w.sum()) - toy.r) / (toy.sigma**2 * 0.5)
+        assert f"u_star  = {expected:.12g}\n" in out
 
     def test_malformed_prior_exits_2_naming_error(self, tmp_path, out_dir, capsys):
         cfg = tmp_path / "bad.json"
@@ -524,10 +527,8 @@ class TestFilterDemo:
         with open(out_dir / "filter_demo.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1001
-        for i, row in enumerate(rows):
+        for row in rows:
             probs = posterior_weights(model, float(row["time"]), float(row["y"]))
-            if i == 0:
-                probs = model.prior  # Y_0 = 0: row 0 is the prior itself
             assert [row[f"closed_p_{k + 1}"] for k in range(3)] == [repr(float(p)) for p in probs]
 
     def test_discrepancy_shrinks_with_step(self, tmp_path, out_dir, capsys):

@@ -29,10 +29,11 @@ def single_state(mu):
 
 
 class TestLikelihood:
-    def test_time_zero_is_one_for_any_y(self, toy):
+    def test_time_zero_is_exp_gamma_y(self, toy):
+        # L_0(mu, y) = exp(gamma y), gamma = mu at r 0, sigma 1; 1 at the observed Y_0 = 0
         for y in (-5.0, 0.0, 3.7):
             for mu in toy.mus:
-                assert log_normalizer(single_state(mu), 0.0, y) == 0.0
+                assert log_normalizer(single_state(mu), 0.0, y) == mu * y
 
     def test_cancelling_exponent(self):
         # gamma=2, t=1, y=1: exponent 2*1 - 0.5*4*1 = 0
@@ -53,7 +54,10 @@ class TestLikelihood:
 
 class TestNormalizer:
     def test_time_zero(self, toy):
-        assert np.exp(log_normalizer(toy, 0.0, 12.3)) == 1.0
+        # log sum_k p_k exp(gamma_k y): 1 at the observed Y_0 = 0
+        assert np.exp(log_normalizer(toy, 0.0, 0.0)) == 1.0
+        naive = np.log(np.sum(toy.prior * np.exp(toy.gammas * 12.3)))
+        assert log_normalizer(toy, 0.0, 12.3) == pytest.approx(naive, rel=1e-15)
 
     def test_toy_direct_sum(self, toy):
         expected = 0.3 * np.exp(-0.5) + 0.3 * np.exp(-2.0) + 0.4 * np.exp(-4.5)
@@ -181,7 +185,6 @@ class TestFilterSde:
         def max_err(step, seed):
             path = simulate_filter_sde(toy, 2, 2.0, step, seed=seed)
             closed = posterior_weights(toy, path.times, path.y)
-            closed[0] = toy.prior  # Y_0 = 0: row 0 is the prior, as filter-demo writes it
             return np.max(np.abs(path.probs - closed))
 
         seeds = range(6)

@@ -140,13 +140,13 @@ class TestQuadratureValues:
             mc_fraction(toy, 0.0, StrategyQuery(0.0, 1.0, 0.0), 100, seed=0)
 
     def test_log_case_is_the_log_utility_fraction(self, toy):
-        # horizon-free: the myopic term itself, at t = 0 the prior for every y
+        # horizon-free: the myopic term itself, the closed form at (t, y)
         for t, T, y in ((0.0, 1.0, 0.0), (0.0, 5.0, 1.2), (0.2, 1.0, 0.5), (0.7, 0.7, -0.3)):
             sv = optimal_fraction(toy, 0.0, StrategyQuery(t, T, y))
             assert sv.u_star == sv.myopic == log_utility_fraction(toy, t, y)
             assert sv.hedging == 0.0
             assert sv.v_star == strategy_mod._state_sum(sv.f, toy.gammas)
-            np.testing.assert_array_equal(sv.f, posterior_weights(toy, t, 0.0 if t == 0.0 else y))
+            np.testing.assert_array_equal(sv.f, posterior_weights(toy, t, y))
 
     def test_alpha_one_rejected(self, toy):
         with pytest.raises(InvalidAlpha):
@@ -320,10 +320,11 @@ class TestGridEvaluator:
             mean = float(posterior_weights(toy, 2.0, float(y)) @ toy.mus)
             expected = (mean - toy.r) / (toy.sigma**2 * 0.5)
             assert u == pytest.approx(expected, rel=1e-12)
-        # T = 0: the likelihood is identically 1, so the prior mean for every y
-        prior_merton = (float(toy.prior @ toy.mus) - toy.r) / (toy.sigma**2 * 0.5)
+        # T = 0: the closed form as written, weights p_k exp(gamma_k y)
+        w = toy.prior * np.exp(toy.gammas * ys[:, None])
+        closed_merton = (w @ toy.mus / w.sum(axis=1) - toy.r) / (toy.sigma**2 * 0.5)
         np.testing.assert_allclose(
-            strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, ys)[0], prior_merton, rtol=1e-14
+            strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, ys)[0], closed_merton, rtol=1e-14
         )
         m = new_market(0.0, 1.0, (1.0,), (1.0,))
         np.testing.assert_allclose(
@@ -342,9 +343,11 @@ class TestGridEvaluator:
             strategy_mod.evaluate_points(toy, 0.5, 0.0, 1.0, y)
         with pytest.raises(ValueError, match="finite y"):
             strategy_mod.evaluate_points(toy, 0.5, 0.5, 1.0, [0.0, y])
-        # where T = 0 the observation is pinned to 0 before the check
-        u = strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, y)[0]
-        assert u == strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, 0.0)[0]
+        # at T = 0 too: the closed form reads y there as anywhere else
+        with pytest.raises(ValueError, match="finite y"):
+            strategy_mod.evaluate_points(toy, 0.5, 0.0, 0.0, y)
+        with pytest.raises(ValueError, match="finite y"):
+            strategy_mod.evaluate_points(toy, 0.0, 0.0, 0.0, y)
 
 
 class TestMonteCarloOracle:
@@ -517,17 +520,41 @@ class TestOneClosedForm:
             for t, T in ((0.0, 1.0), (0.4, 1.5), (2.0, 2.0)):
                 for y in rng.normal(0.0, 1.0, size=2):
                     sv = optimal_fraction(market, alpha, StrategyQuery(t, T, float(y)))
-                    # at t = 0 the myopic term sees Y_0 = 0, the prior
-                    probs = posterior_weights(market, t, float(y) if t else 0.0)
+                    probs = posterior_weights(market, t, float(y))
                     mean = float(probs @ market.mus)
                     expected = (mean - market.r) / (market.sigma**2 * (1.0 - alpha))
                     assert sv.myopic == pytest.approx(expected, rel=1e-13)
                     assert sv.hedging == sv.u_star - sv.myopic
 
-    def test_log_fraction_at_time_zero_is_prior_mean(self, market):
-        expected = (float(market.prior @ market.mus) - market.r) / market.sigma**2
+    def test_log_fraction_at_time_zero_is_the_closed_form(self, market):
+        # the prior mean at the observed Y_0 = 0, weights p_k exp(gamma_k y) elsewhere
+        prior_mean = (float(market.prior @ market.mus) - market.r) / market.sigma**2
+        assert log_utility_fraction(market, 0.0, 0.0) == pytest.approx(prior_mean, rel=1e-14)
         for y in (-2.0, 0.7, 3.0):
-            assert log_utility_fraction(market, 0.0, y) == pytest.approx(expected, rel=1e-14)
+            assert log_utility_fraction(market, 0.0, y) == pytest.approx(
+                self.continuum_log_fraction(market, 0.0, y), rel=1e-14
+            )
         assert log_utility_fraction(market, 0.8, 0.7) == pytest.approx(
             self.continuum_log_fraction(market, 0.8, 0.7), rel=1e-13
         )
+
+
+class TestContinuousAtTimeZero:
+    """u* and its myopic term read one posterior at t = 0: toy market, y = 1."""
+
+    @pytest.mark.parametrize("alpha", [0.5, -2.0])
+    def test_hedging_vanishes_at_maturity(self, toy, alpha):
+        sv = optimal_fraction(toy, alpha, StrategyQuery(0.0, 1e-9, 1.0))
+        assert abs(sv.hedging) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.5, -2.0])
+    def test_continuous_at_zero_horizon(self, toy, alpha):
+        near = optimal_fraction(toy, alpha, StrategyQuery(0.0, 1e-9, 1.0)).u_star
+        at = optimal_fraction(toy, alpha, StrategyQuery(0.0, 0.0, 1.0)).u_star
+        assert abs(near - at) <= 1e-6
+
+    def test_continuous_across_log_utility(self, toy):
+        q = StrategyQuery(0.0, 1.0, 1.0)
+        log_u = optimal_fraction(toy, 0.0, q).u_star
+        for alpha in (1e-6, -1e-6):
+            assert abs(optimal_fraction(toy, alpha, q).u_star - log_u) <= 1e-5
