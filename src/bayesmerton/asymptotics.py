@@ -8,8 +8,8 @@ state weight (f_d resp. f_1); those bounds are implemented here so the
 sandwich "bound <= quadrature value" is checkable at finite horizons.
 Both read the filter: with b = 1/(1 - alpha) and the effective time
 tau = (t - alpha T)/(1 - alpha), the Jensen bound on f_d is p_d^(b-1) times
-the posterior weight of state d at (b tau, b y), and the pessimist bound's
-second factor is the posterior weight of state 1 at a tilted observation.
+the posterior weight of state d at (b tau, b y), and the pessimist bound
+reads the log-joint at (tau, y) and state 1's posterior at a tilted point.
 The limit is :func:`~bayesmerton.model.merton_fraction` at the extreme
 drift; the CLI writes a sweep's files.
 """
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import _log_joint, log_normalizer, posterior_weights
+from .filtering import _log_joint, log_normalizer, logsumexp, posterior_weights
 from .model import InvalidAlpha, MarketModel, StrategyQuery, _check_alpha, merton_fraction
-from .strategy import QuadratureConfig, _stabilized, evaluate_points
+from .strategy import QuadratureConfig, evaluate_points
 
 
 class HypothesisViolated(ValueError):
@@ -124,16 +124,16 @@ def _pessimist_log_factors(
         lam = 0.5 * (lo + hi)
     if not lo < lam < hi:
         raise InvalidLambda(f"lambda must lie in ({lo}, {hi}), got {lam}")
-    one_minus = 1.0 - alpha
+    b = 1.0 / (1.0 - alpha)
     g1 = float(model.gammas[0])
 
-    log_factor1 = float(_stabilized(model, alpha, t, T, y)[0][0]) / one_minus
+    log_q = b * _log_joint(model, (t - alpha * T) / (1.0 - alpha), y)
+    log_factor1 = float(log_q[0] - logsumexp(log_q))
 
     y_tilt = y + g1 * lam * (T - t)
     log_factor2 = float(_log_joint(model, T, y_tilt)[0]) - log_normalizer(model, T, y_tilt)
 
-    z_cut = g1 * math.sqrt(T - t) * (lam - 1.0 / one_minus) * math.sqrt(one_minus)
-    factor3 = 0.5 * math.erfc(-z_cut / math.sqrt(2.0))
+    factor3 = 0.5 * math.erfc(-g1 * math.sqrt(T - t) * (lam - b) / math.sqrt(2.0))
     return log_factor1, log_factor2, factor3
 
 
@@ -147,11 +147,18 @@ def pessimist_lower_bound_f1(
 ) -> float:
     """Explicit lower bound on f_1(T, alpha) for alpha < 0.
 
-    Product of three factors, each tending to 1 as T grows: the stabilized
-    weight p_hat_1(T)^(1/(1-alpha)), the posterior weight of state 1 at the
-    tilted point y + gamma_1 lam (T - t), and a Gaussian tail probability.
-    The exponential factors are carried in log domain.  ``lam`` defaults to
-    the midpoint of the admissible interval.
+    With b = 1/(1 - alpha) <= 1, s = T - t and q_k = exp(``_log_joint``) at
+    (tau, y), tau = (t - alpha T)/(1 - alpha), the quadrature's z coordinate
+    has g = sum_k q_k phi_k, phi_k the N(b gamma_k sqrt(s), b) density, and
+    f_1 = int rho_1 g^b / int g^b, where rho_1(z), the posterior weight of
+    state 1 at (T, y + z sqrt(s)), decreases in z.  Cut at
+    z_c = gamma_1 lam sqrt(s).  Then f_1 >= rho_1(z_c) int_{z <= z_c} g^b /
+    int g^b; the numerator is at least q_1^b int_{z <= z_c} phi_1^b, as
+    g >= q_1 phi_1; int g^b <= sum_k q_k^b int phi_k^b, as x^b is
+    subadditive; and each phi_k^b is one constant times the
+    N(b gamma_k sqrt(s), 1) density.  So f_1 >= q_1^b / sum_k q_k^b *
+    rho_1(z_c) * Phi(gamma_1 sqrt(s) (lam - b)), three factors that tend to
+    1 as T grows.  ``lam`` defaults to the admissible midpoint.
 
     Raises
     ------

@@ -42,9 +42,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .asymptotics import SweepResult, default_horizons, horizon_sweep
-from .filtering import StepTooLarge, posterior_weights, simulate_filter_sde
+from .filtering import StepTooLarge, _theta_indices, posterior_weights, simulate_filter_sde
 from .model import MarketModel, StrategyQuery, new_market
-from .simkit import CacheProbeFailed, _theta_indices, optimality_check
+from .simkit import CacheProbeFailed, optimality_check
 from .strategy import QuadratureConfig, QuadratureNotConverged, optimal_fraction
 
 _NUMERICAL_ERRORS = (QuadratureNotConverged, StepTooLarge, CacheProbeFailed, FloatingPointError)
@@ -343,7 +343,8 @@ def cmd_sweep(config: RunConfig) -> int:
 def cmd_filter_demo(config: RunConfig) -> int:
     """Simulate one filter path; write Euler and closed-form posteriors side by side."""
     model = config.model
-    true_index = int(_theta_indices(model, 1, config.seed)[0])  # as path 0 of optcheck
+    # path 0's drift, and so at one path its Y path, as terminal_wealth draws them
+    true_index = int(_theta_indices(model, 1, config.seed)[0])
     path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
 
     closed = posterior_weights(model, path.times, path.y)

@@ -18,6 +18,13 @@ The same posterior solves a diffusion driven by the innovation process,
 
 which :func:`simulate_filter_sde` integrates with an Euler scheme in gamma,
 ``dW_hat = dY - gamma_hat dt``, as a pathwise cross-check of the closed form.
+
+Both simulators, this one and ``simkit.terminal_wealth``, take their step
+count, time grid and seeds from here: from a master seed, the drifts of all
+paths are one prior draw in path order (:func:`_theta_indices`, spawn key
+0), and the Brownian increments come in step order (:func:`_noise`, spawn
+key 1), element ``j`` of each step's draw for path ``j``.  So runs with one
+seed share noise path by path, and at one path both step the same ``Y``.
 """
 
 from __future__ import annotations
@@ -73,6 +80,15 @@ def _time_grid(T: float, step: float) -> np.ndarray:
     return times
 
 
+def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return rng.choice(model.d, size=n_paths, p=model.prior)
+
+
+def _noise(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+
+
 def logsumexp(a: np.ndarray) -> np.ndarray:
     """Max-shifted log-sum-exp along the last axis."""
     shift = np.max(a, axis=-1, keepdims=True)
@@ -120,21 +136,19 @@ def simulate_filter_sde(
     step: float,
     seed: int,
 ) -> FilterPath:
-    """Euler scheme for the posterior SDE along one simulated true path.
+    """Euler scheme for the posterior SDE along one simulated observation path.
 
-    The true Brownian path and the innovation increments come from a single
-    RNG stream (all Brownian increments drawn upfront, in time order) so
-    paired comparisons are reproducible from the seed alone.  Each Euler step
-    is clipped to [1e-12, 1] and renormalized.  The grid ends exactly at
+    ``dY = dW + gamma_theta dt`` is formed once from the ``n_steps``
+    increments of :func:`_noise`, drawn in one call, and ``Y`` is its running
+    sum: ``terminal_wealth``'s one path bit for bit at the same seed and drift.
+    Each Euler step reads only the observation, ``dW_hat = dY - gamma_hat dt``,
+    and is clipped to [1e-12, 1] and renormalized.  The grid ends exactly at
     the horizon; ``times[1]`` is the step simulated.
 
-    The step runs on Python floats, one state at a time.  The posterior
-    mean and the renormalizing total are sequential sums in double
-    precision, so the trajectory does not depend on which BLAS kernel the
-    host dispatches for a dot product.
-
-    Returns the posterior trajectory together with the driving ``Y`` path, so
-    the closed form :func:`posterior_weights` is evaluable at matching times.
+    The step runs on Python floats and sums the posterior mean and the
+    renormalizing total in state order, so no BLAS kernel touches the result.
+    The rows come with their ``Y`` path, at which :func:`posterior_weights`
+    gives the closed form.
 
     Raises
     ------
@@ -146,24 +160,21 @@ def simulate_filter_sde(
         raise IndexError(f"true_drift_index {true_drift_index} out of range")
     n_steps = times.size - 1
     step = float(times[1])
-    rng = np.random.default_rng(seed)
-    dw = (rng.standard_normal(n_steps) * np.sqrt(step)).tolist()
+    dy = _noise(seed).standard_normal(n_steps) * np.sqrt(step)
+    dy += model.gammas[true_drift_index] * step
+    y = np.concatenate(([0.0], np.cumsum(dy)))  # cumsum adds in order: y + dy, step by step
 
     gammas = model.gammas.tolist()
-    gamma_true = gammas[true_drift_index]
-    drift = gamma_true * step
     lo, hi = _EULER_GUARD
     floor = _EULER_FLOOR
 
     p = model.prior.tolist()
     probs = array("d", p)  # rows of d, flat
-    ys = array("d", [0.0])
-    y = 0.0
-    for i, dwi in enumerate(dw):
+    for i, dyi in enumerate(dy.tolist()):
         gamma_hat = 0.0
         for pk, gk in zip(p, gammas):
             gamma_hat += pk * gk
-        dw_hat = dwi + (gamma_true - gamma_hat) * step
+        dw_hat = dyi - gamma_hat * step
         clipped = []
         total = 0.0
         for pk, gk in zip(p, gammas):
@@ -180,10 +191,5 @@ def simulate_filter_sde(
             total += pk
         p = [pk / total for pk in clipped]
         probs.extend(p)
-        y = y + dwi + drift
-        ys.append(y)
-    return FilterPath(
-        times=times,
-        probs=np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d),
-        y=np.frombuffer(ys, dtype=float),
-    )
+    probs = np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d)
+    return FilterPath(times=times, probs=probs, y=y)

@@ -23,18 +23,10 @@ gives a row of u* at every time of that same grid, keeps the rows in
 segments, and looks them up, so each step reads one row and interpolates
 only in y.
 
-Reproducibility scheme: from a master seed, the hidden drifts for all paths
-come from the generator seeded with ``SeedSequence(seed, spawn_key=(0,))``
-(one vector draw in path order, :func:`_theta_indices`; the CLI's filter
-demo simulates the drift of path 0), and step ``i``'s Brownian increments are
-one ``standard_normal(n_paths)`` draw, element ``j`` for path ``j``, from one
-generator seeded with ``SeedSequence(seed, spawn_key=(1,))``.  That generator
-lives on a second thread, the only one to touch it, which draws step
-``i + 1``'s increments while the stepper looks up step ``i``'s fractions;
-it draws in step order, so every increment keeps its value and its place.
-Runs with the same seed therefore share noise path by path regardless of
-strategy, which is what the paired strategy comparisons rely on; all
-reductions use numpy's pairwise summation over full per-path arrays.
+Seeds follow the scheme in :mod:`~bayesmerton.filtering`: step ``i``'s
+increments are one ``standard_normal(n_paths)`` draw from
+``filtering._noise(seed)``.  All reductions use numpy's pairwise summation
+over full per-path arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import _n_steps, _time_grid, log_normalizer, posterior_weights
+from .filtering import _n_steps, _noise, _theta_indices, _time_grid
+from .filtering import log_normalizer, posterior_weights
 from .model import MarketModel, _check_alpha
 from .strategy import QuadratureNotConverged, _state_sum, evaluate_points
 
@@ -338,11 +331,6 @@ def build_feedback_strategy(
     return CachedStrategy(model, alpha, T, _n_steps(T, step))
 
 
-def _theta_indices(model: MarketModel, n_paths: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    return rng.choice(model.d, size=n_paths, p=model.prior)
-
-
 def _draw_ahead(
     noise: np.random.Generator,
     sqrt_dt: float,
@@ -403,7 +391,7 @@ def terminal_wealth(
     dt = T / n_steps
     sqrt_dt = math.sqrt(dt)
     thetas = _theta_indices(model, n_paths, seed)
-    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    noise = _noise(seed)
     gam_dt = model.gammas[thetas] * dt
     y, gain, power = np.zeros((3, n_paths))
     ready, free = queue.SimpleQueue(), queue.SimpleQueue()

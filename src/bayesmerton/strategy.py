@@ -119,8 +119,8 @@ class StrategyValue:
 def _stabilized(model: MarketModel, alpha: float, t, T, y) -> tuple[np.ndarray, np.ndarray]:
     """Normalized log-weights and means of the z-coordinate mixture; shape (..., d) each.
 
-    Components share the variance 1 / (1 - alpha); the kernel and the pessimist
-    bound both read the mixture from here.  The weights are the filter posterior
+    Components share the variance 1 / (1 - alpha); the kernel reads the
+    mixture from here.  The weights are the filter posterior
     at y and the effective time tau = (t - alpha T) / (1 - alpha): the filter's
     own log-joint ``filtering._log_joint`` at (tau, y), normalized.  tau tends
     to -inf as T grows for alpha in (0, 1), putting the weight on the best

@@ -5,8 +5,9 @@ the naive evaluator works on the literal integrands with plain products,
 the Monte Carlo oracle samples the two defining expectations with its own
 log-sum-exp and imports nothing from ``bayesmerton.strategy``, the
 integer-b oracle sums the multinomial expansion of F^b exactly, the lower
-bounds are their likelihood exponents expanded by hand and evaluated in
-mpmath, and the random market generator only uses the public constructor.
+bounds and the pessimist bound's three factors are written out by hand,
+likelihood exponents expanded, and evaluated in mpmath, and the random
+market generator only uses the public constructor.
 """
 
 from __future__ import annotations
@@ -164,6 +165,34 @@ def jensen_bound_reference(
         return float(mp.mpf(model.prior[-1]) ** (b - 1) * terms[-1] / mp.fsum(terms))
 
 
+def pessimist_factor1_reference(
+    model: MarketModel, alpha: float, t: float, T: float, y: float
+) -> float:
+    """The pessimist bound's first factor with its exponent expanded, at 50 digits.
+
+    q_1^b / sum_k q_k^b with b = 1/(1 - alpha), tau = (t - alpha T)/(1 - alpha)
+    and q_k = p_k exp(gamma_k y - gamma_k^2 tau / 2).
+    """
+    with mp.workdps(50):
+        b = 1 / (1 - mp.mpf(alpha))
+        tau = (t - mp.mpf(alpha) * T) / (1 - mp.mpf(alpha))
+        terms = [
+            mp.exp(b * (mp.log(p) + g * y - g * g * tau / 2))
+            for p, g in zip(model.prior.tolist(), map(mp.mpf, model.gammas.tolist()))
+        ]
+        return float(terms[0] / mp.fsum(terms))
+
+
+def pessimist_factor3_reference(
+    model: MarketModel, alpha: float, t: float, T: float, lam: float
+) -> float:
+    """The pessimist bound's third factor, Phi(gamma_1 sqrt(T - t) (lam - b)), at 50 digits."""
+    with mp.workdps(50):
+        b = 1 / (1 - mp.mpf(alpha))
+        s = mp.mpf(T) - t
+        return float(mp.ncdf(mp.mpf(model.gammas[0]) * mp.sqrt(s) * (lam - b)))
+
+
 def pessimist_factor2_reference(
     model: MarketModel, t: float, T: float, y: float, lam: float
 ) -> float:
@@ -249,13 +278,15 @@ def numpy_filter_sde(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler scheme for the posterior SDE as whole-vector numpy steps; (probs, y).
 
-    The loop is the earlier vectorized one, written out unchanged: the
-    posterior mean is ``p @ mus``, which numpy hands to the BLAS dot kernel.
+    The loop is the earlier vectorized one: the posterior mean is ``p @ mus``,
+    which numpy hands to the BLAS dot kernel, and the step is in mu and
+    sigma.  Its noise is the package's Brownian stream, drawn from the
+    ``spawn_key=(1,)`` generator, and y adds ``dW + gamma_theta dt`` a step.
     """
     times = _time_grid(horizon, step)
     n_steps = times.size - 1
     step = float(times[1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     dw = rng.standard_normal(n_steps) * np.sqrt(step)
 
     d = model.d
@@ -281,7 +312,7 @@ def numpy_filter_sde(
         np.clip(p, _EULER_FLOOR, 1.0, out=p)
         p /= p.sum()
         probs[i + 1] = p
-        y[i + 1] = y[i] + dw[i] + gamma_true * step
+        y[i + 1] = y[i] + (dw[i] + gamma_true * step)
     return probs, y
 
 

@@ -23,7 +23,13 @@ from bayesmerton.asymptotics import (
     pessimist_lower_bound_f1,
 )
 
-from oracles import jensen_bound_reference, pessimist_factor2_reference, random_market
+from oracles import (
+    jensen_bound_reference,
+    pessimist_factor1_reference,
+    pessimist_factor2_reference,
+    pessimist_factor3_reference,
+    random_market,
+)
 
 
 @pytest.fixture
@@ -188,6 +194,33 @@ class TestBoundsAgainstExpandedReferences:
                 assert abs(got - ref) <= tol * ref, (model, alpha, t, T, y)
                 checked += 1
         assert checked >= self.N_CASES // 2
+
+    def test_pessimist_first_factor(self):
+        checked = 0
+        for rng, model, t, T, y in self.cases(29):
+            alpha = float(rng.uniform(-5.0, 0.0))
+            if not t < T:
+                continue
+            ref = pessimist_factor1_reference(model, alpha, t, T, y)
+            if ref > 1e-300:
+                # b <= 1 and 0 <= tau <= T, so the exponents are at most this size
+                tol = 1e-12 + 2 * np.finfo(float).eps * _exponent_scale(model, 1.0, T, y)
+                lam = sum(admissible_lambda_interval(model)) / 2
+                got = math.exp(_pessimist_log_factors(model, alpha, t, T, y, lam)[0])
+                assert abs(got - ref) <= tol * ref, (model, alpha, t, T, y)
+                checked += 1
+        assert checked >= self.N_CASES // 2
+
+    def test_pessimist_third_factor(self):
+        for rng, model, t, T, y in self.cases(31):
+            alpha = float(rng.uniform(-5.0, 0.0))
+            lo, hi = admissible_lambda_interval(model)
+            lam = float(rng.uniform(lo, hi))
+            if not (t < T and lo < lam < hi):
+                continue
+            ref = pessimist_factor3_reference(model, alpha, t, T, lam)
+            got = _pessimist_log_factors(model, alpha, t, T, y, lam)[2]
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (model, alpha, t, T, lam)
 
     def test_pessimist_second_factor(self):
         checked = 0

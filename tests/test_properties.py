@@ -7,7 +7,6 @@ database, so the suite stays deterministic and writes no files.
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -207,14 +206,9 @@ def test_pessimist_bound_below_f_1(model, alpha, T, frac, y, where):
     assert pessimist_lower_bound_f1(model, alpha, frac * T, T, y, lam=lam) <= f_1 * (1.0 + F_TOL)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="open FOUND line in CHANGES.md: the pessimist bound exceeds f_1 where gamma_1 is "
-    "small beside gamma_2; mpmath gives f_1 = 0.97704123176 here",
-)
 def test_pessimist_bound_counterexample():
-    """A random example of the property test above, run wider: 0.977906 against f_1 0.977041."""
+    """A random example of the property test above, run wider: the bound's earlier form
+    read 0.977906 here against f_1 0.977041 (mpmath 0.97704123176); it now reads 0.67526."""
     model = new_market(0.0, 1.0, (0.25, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
     f_1 = state_weights(model, -4.0, 0.0, 20.0, 1.0)[0]
     assert pessimist_lower_bound_f1(model, -4.0, 0.0, 20.0, 1.0, lam=1.1875) <= f_1 * (1.0 + F_TOL)
