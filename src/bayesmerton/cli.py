@@ -202,9 +202,13 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-#: Rows converted and written per ``stream.write`` call by :func:`write_columns`;
-#: bounds the text held in memory to one chunk whatever the row count.
+#: Rows that :func:`write_columns` and its helper interpreter convert at a
+#: time.  Each process holds one chunk of values and text, and each
+#: ``stream.write`` passes at most one chunk or 1 MiB of the helper's text,
+#: so memory stays bounded whatever the row count.
 CHUNK_ROWS = 2048
+#: Bytes of the helper's text copied into the stream per ``write``.
+_COPY_BYTES = 1 << 20
 
 
 def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> None:
@@ -213,15 +217,67 @@ def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> 
     Cells are ``repr(float)``, exact and never quoted: no such string holds
     a comma, a quote or a newline, so the bytes equal those of ``csv.writer``
     given the same strings.
+
+    The rows are formatted on two CPUs.  This process formats the first
+    half, rounded up to whole chunks of :data:`CHUNK_ROWS`.  One helper
+    interpreter (``python -I -S``, standard library only) runs
+    ``_rows.py`` on the rest.  It reads their float64 values from one
+    temporary file and writes its text to another, which is copied into the
+    stream after this process's rows.  Both use ``_rows.format_rows``, so
+    the bytes do not depend on the split.  No helper starts for
+    :data:`CHUNK_ROWS` rows or fewer.
+
+    Header and column counts are checked before anything is written.  On
+    any later error the helper is killed and reaped, and rows may already
+    be on the stream; a helper that fails raises
+    ``subprocess.CalledProcessError`` with its exit code.
     """
+    from . import _rows  # imported here, as is subprocess, so cli loads no slower
+
     columns = [np.asarray(c, dtype=float) for c in columns]
+    if not columns or len(header) != len(columns):
+        raise ValueError(
+            f"need one header per column, got {len(header)} headers for {len(columns)} columns"
+        )
     n_rows = columns[0].size
     if any(c.shape != (n_rows,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
+    half = min(n_rows, -(-n_rows // (2 * CHUNK_ROWS)) * CHUNK_ROWS)
+
+    def write_rows(stop: int) -> None:
+        for start in range(0, stop, CHUNK_ROWS):
+            chunk = [c[start : start + CHUNK_ROWS].tolist() for c in columns]
+            stream.write(_rows.format_rows(chunk))
+
     stream.write(",".join(header) + "\n")
-    for start in range(0, n_rows, CHUNK_ROWS):
-        rows = np.column_stack([c[start : start + CHUNK_ROWS] for c in columns]).tolist()
-        stream.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+    if half == n_rows:
+        write_rows(n_rows)
+        return
+
+    import subprocess
+    import tempfile
+
+    with tempfile.TemporaryFile() as values, tempfile.TemporaryFile() as text:
+        for start in range(half, n_rows, CHUNK_ROWS):
+            values.write(np.column_stack([c[start : start + CHUNK_ROWS] for c in columns]))
+        values.seek(0)
+        helper = subprocess.Popen(
+            [sys.executable, "-I", "-S", _rows.__file__, str(len(columns)), str(CHUNK_ROWS)],
+            stdin=values,
+            stdout=text,
+        )
+        try:
+            write_rows(half)
+            status = helper.wait()
+        finally:
+            if helper.returncode is None:
+                helper.kill()
+                helper.wait()
+        if status:
+            raise subprocess.CalledProcessError(status, helper.args)
+        text.seek(0)
+        while piece := text.read(_COPY_BYTES):
+            stream.write(piece.decode("ascii"))
 
 
 def export_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
@@ -350,15 +406,24 @@ def cmd_filter_demo(config: RunConfig) -> int:
     closed = posterior_weights(model, path.times, path.y)
     discrepancy = float(np.max(np.abs(path.probs - closed)))
 
+    import os
+
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "filter_demo.csv", "w", newline="") as fh:
-        write_columns(
-            fh,
-            ["time", "y"]
-            + [f"euler_p_{k + 1}" for k in range(model.d)]
-            + [f"closed_p_{k + 1}" for k in range(model.d)],
-            [path.times, path.y, *path.probs.T, *closed.T],
-        )
+    target = config.out_dir / "filter_demo.csv"
+    # written whole beside the target, then renamed: no half-written CSV is left
+    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="") as fh:
+            write_columns(
+                fh,
+                ["time", "y"]
+                + [f"euler_p_{k + 1}" for k in range(model.d)]
+                + [f"closed_p_{k + 1}" for k in range(model.d)],
+                [path.times, path.y, *path.probs.T, *closed.T],
+            )
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
     print(f"true_drift_index = {true_index}")
     print(f"max_discrepancy  = {discrepancy:.12g}")
     return 0

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -25,6 +27,7 @@ from bayesmerton.cli import (
     main,
     write_columns,
 )
+from bayesmerton.filtering import _theta_indices, simulate_filter_sde
 
 
 TOY_MARKET = {"r": 0.0, "sigma": 1.0, "mus": [1.0, 2.0, 3.0], "prior": [0.3, 0.3, 0.4]}
@@ -36,6 +39,21 @@ def write_config(tmp_path, out_dir, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def csv_of_reprs(header, columns):
+    """The reference bytes: ``csv.writer`` given the header and the reprs of every row."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([repr(float(v)) for v in row])
+    return expected.getvalue()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -546,6 +564,35 @@ class TestFilterDemo:
         fine = run(2.5e-4)
         assert coarse / fine >= 1.5
 
+    def test_csv_across_the_two_process_split(self, tmp_path, out_dir):
+        # 10001 rows: the helper interpreter writes the rows past 3 * CHUNK_ROWS
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 1e-4, "n_paths": 10, "seed": 5},
+        )
+        assert main(["--config", cfg, "filter-demo"]) == 0
+        model = new_market(**TOY_MARKET)
+        true_index = int(_theta_indices(model, 1, 5)[0])
+        path = simulate_filter_sde(model, true_index, 1.0, 1e-4, 5)
+        closed = posterior_weights(model, path.times, path.y)
+        assert path.times.size > 3 * CHUNK_ROWS
+        header = "time,y,euler_p_1,euler_p_2,euler_p_3,closed_p_1,closed_p_2,closed_p_3".split(",")
+        columns = [path.times, path.y, *path.probs.T, *closed.T]
+        assert (out_dir / "filter_demo.csv").read_text() == csv_of_reprs(header, columns)
+
+    def test_failed_write_leaves_no_csv_and_no_child(self, tmp_path, out_dir, monkeypatch):
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 1e-4, "n_paths": 10, "seed": 5},
+        )
+        monkeypatch.setattr(sys, "executable", "/bin/false")
+        with pytest.raises(subprocess.CalledProcessError):
+            main(["--config", cfg, "filter-demo"])
+        assert list(out_dir.iterdir()) == []  # neither the CSV nor its partial sibling
+        assert_no_child_left()
+
     def test_single_state_zero_discrepancy(self, tmp_path, out_dir, capsys):
         cfg = tmp_path / "d1.json"
         cfg.write_text(json.dumps({
@@ -694,43 +741,108 @@ class TestOptcheck:
 class TestWriteColumns:
     SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, 2.0, -7.0, float("inf"), float("-inf")]
 
-    def test_bytes_match_csv_writer_of_reprs(self):
-        n_rows = 2 * CHUNK_ROWS + 37  # crosses two chunk boundaries
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 37, 5 * CHUNK_ROWS + 1],
+        ids=["0", "1", "chunk", "2chunk+37", "5chunk+1"],
+    )
+    def test_bytes_match_csv_writer_of_reprs(self, n_rows):
+        # the larger sizes cross chunk boundaries and the split into two processes,
+        # with every special value on both sides of it
+        special = self.SPECIAL + [float("nan")]
         rng = np.random.default_rng(8)
         columns = [
-            np.resize(self.SPECIAL, n_rows),
-            np.resize(self.SPECIAL[::-1], n_rows),
+            np.resize(special, n_rows),
+            np.resize(special[::-1], n_rows),
             rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
             np.arange(n_rows, dtype=float),
         ]
         header = ["a", "b", "c", "d"]
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
         got = io.StringIO()
         write_columns(got, header, columns)
-        assert got.getvalue() == expected.getvalue()
+        assert got.getvalue() == csv_of_reprs(header, columns)
 
-    def test_one_write_per_chunk(self):
-        n_rows = 2 * CHUNK_ROWS + 1
+    def test_memory_bounded_per_chunk(self):
+        class Sink:
+            """Keeps only the length of what is written, so only the writer's memory counts."""
 
-        class Counting(io.StringIO):
-            writes = 0
+            longest = total = 0
 
             def write(self, text):
-                self.writes += 1
-                return super().write(text)
+                self.longest = max(self.longest, len(text))
+                self.total += len(text)
+                return len(text)
 
-        stream = Counting()
-        write_columns(stream, ["x"], [np.zeros(n_rows)])
-        assert stream.writes == 1 + 3  # header, then three chunks
-        assert stream.getvalue().count("\n") == n_rows + 1
+        n_rows = 100_001
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(n_rows) for _ in range(8)]
+        stream = Sink()
+        tracemalloc.start()
+        try:
+            write_columns(stream, list("abcdefgh"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.total > 14_000_000
+        assert peak < 4 << 20
+        assert stream.longest <= 1 << 20
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             write_columns(io.StringIO(), ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+    @pytest.mark.parametrize("header", [["a", "b", "c"], ["a"]])
+    def test_header_column_mismatch_rejected_before_writing(self, header):
+        stream = io.StringIO()
+        with pytest.raises(ValueError):
+            write_columns(stream, header, [np.zeros(2), np.ones(2)])
+        assert stream.getvalue() == ""
+
+    def test_no_columns_rejected(self):
+        stream = io.StringIO()
+        with pytest.raises(ValueError):
+            write_columns(stream, [], [])
+        assert stream.getvalue() == ""
+
+    def test_failing_helper_raises_with_exit_code(self, monkeypatch):
+        monkeypatch.setattr(sys, "executable", "/bin/false")
+        with pytest.raises(subprocess.CalledProcessError) as info:
+            write_columns(io.StringIO(), ["x"], [np.zeros(2 * CHUNK_ROWS + 1)])
+        assert info.value.returncode == 1
+        assert "exit status 1" in str(info.value)
+        assert_no_child_left()
+
+    def test_stream_error_kills_helper(self):
+        class Failing(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError("disk full")
+                return super().write(text)
+
+        stream = Failing()
+        with pytest.raises(OSError, match="disk full"):
+            write_columns(stream, ["x"], [np.zeros(2 * CHUNK_ROWS + 37)])
+        assert stream.getvalue() == "x\n"
+        assert_no_child_left()
+
+    def test_no_warning_while_a_thread_runs(self):
+        # Python 3.12+ warns when os.fork() runs beside a live thread, but under
+        # an "error" filter it drops that warning silently: record every warning
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = io.StringIO()
+                columns = [np.arange(2 * CHUNK_ROWS + 37, dtype=float)]
+                write_columns(got, ["x"], columns)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [str(w.message) for w in caught] == []
+        assert got.getvalue() == csv_of_reprs(["x"], columns)
 
 
 class TestSweepExport:
