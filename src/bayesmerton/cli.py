@@ -35,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -42,7 +43,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from .asymptotics import SweepResult, default_horizons, horizon_sweep
-from .filtering import StepTooLarge, _theta_indices, posterior_weights, simulate_filter_sde
+from .filtering import (
+    FilterPath,
+    StepTooLarge,
+    _n_steps,
+    _theta_indices,
+    posterior_weights,
+    simulate_filter_sde,
+)
 from .model import MarketModel, StrategyQuery, new_market
 from .simkit import CacheProbeFailed, optimality_check
 from .strategy import QuadratureConfig, QuadratureNotConverged, optimal_fraction
@@ -202,13 +210,119 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-#: Rows that :func:`write_columns` and its helper interpreter convert at a
+#: Rows that :func:`column_writer` and its helper interpreter convert at a
 #: time.  Each process holds one chunk of values and text, and each
-#: ``stream.write`` passes at most one chunk or 1 MiB of the helper's text,
-#: so memory stays bounded whatever the row count.
+#: ``stream.write`` passes at most one chunk or 1 MiB of copied text, so
+#: memory stays bounded whatever the row count.
 CHUNK_ROWS = 2048
-#: Bytes of the helper's text copied into the stream per ``write``.
+#: Bytes of formatted text copied into the stream per ``write``.
 _COPY_BYTES = 1 << 20
+
+
+@contextmanager
+def column_writer(stream: IO[str], header: Sequence[str], n_rows: int):
+    """Write a header line, then CSV rows of float columns handed over a chunk at a time.
+
+    Yields ``add``: call it with the next :data:`CHUNK_ROWS` rows as a list
+    of one equal-length float sequence per header name (the last call may
+    hold fewer rows), ``n_rows`` rows in all.  Cells are ``repr(float)``,
+    formatted by ``_rows.format_chunk``, so the bytes do not depend on which
+    process formats a row.
+
+    Past one chunk, the rows are formatted on two CPUs while the caller is
+    still making them.  On entry one helper interpreter (``python -I -S``,
+    standard library only) starts on ``_rows.py``.  ``add`` appends each
+    chunk's float64 values, column by column, to a temporary values file
+    and grants the helper chunks in order, one byte each on a pipe, so that
+    it never holds more than two granted chunks it has not finished; the
+    helper reports each finished chunk with a byte on a second pipe.  When
+    the block ends, the chunks not yet granted are split by the helper's
+    progress: it gets enough of them to finish half of the chunks still
+    unformatted, and this process formats the rest into a temporary file.
+    Then it reads the done pipe to its end, waits for the helper and copies
+    the helper's text and its own into the stream in pieces of at most
+    1 MiB.  With :data:`CHUNK_ROWS` rows or fewer no helper starts and each
+    chunk goes straight to the stream.
+
+    On any error in the block or here the helper is killed and reaped, and
+    the header and rows may already be on the stream; a helper that fails
+    raises ``subprocess.CalledProcessError`` with its exit code.
+    """
+    import os
+    import subprocess
+    import tempfile
+
+    from . import _rows  # imported here, as are os and subprocess, so cli loads no slower
+
+    n_columns = len(header)
+    stream.write(",".join(header) + "\n")
+    if n_rows <= CHUNK_ROWS:
+        yield lambda columns: stream.write(
+            _rows.format_chunk(np.concatenate(columns).tobytes(), n_columns)
+        )
+        return
+
+    chunk_bytes = 8 * n_columns * CHUNK_ROWS
+    with ExitStack() as stack:
+        values = stack.enter_context(tempfile.TemporaryFile())
+        text = stack.enter_context(tempfile.TemporaryFile())
+        own = stack.enter_context(tempfile.TemporaryFile())
+        grant_r, grant_w = os.pipe()
+        grants = stack.enter_context(os.fdopen(grant_w, "wb", buffering=0))
+        done_r, done_w = os.pipe()
+        done = stack.enter_context(os.fdopen(done_r, "rb", buffering=0))
+        try:
+            helper = subprocess.Popen(
+                [sys.executable, "-I", "-S", _rows.__file__]
+                + [str(n) for n in (n_columns, CHUNK_ROWS, values.fileno(), done_w)],
+                stdin=grant_r,
+                stdout=text,
+                pass_fds=(values.fileno(), done_w),
+            )
+        finally:
+            os.close(grant_r)
+            os.close(done_w)
+        stack.callback(helper.wait)
+        stack.callback(helper.kill)  # a no-op once the helper has been reaped
+        os.set_blocking(done_r, False)
+        added = granted = finished = 0
+
+        def grant(n: int) -> None:
+            nonlocal granted
+            if n > 0:
+                try:
+                    grants.write(b"." * n)
+                except BrokenPipeError:
+                    raise subprocess.CalledProcessError(helper.wait(), helper.args) from None
+                granted += n
+
+        def add(columns) -> None:
+            nonlocal added, finished
+            values.write(np.concatenate(columns))
+            values.flush()  # in the file before the helper is granted it
+            added += 1
+            finished += len(done.read(64) or b"")
+            grant(min(added, finished + 2) - granted)
+
+        yield add
+        finished += len(done.read(64) or b"")
+        grant((added + finished) // 2 - granted)
+        grants.close()
+        for k in range(granted, added):
+            chunk = os.pread(values.fileno(), chunk_bytes, k * chunk_bytes)
+            own.write(_rows.format_chunk(chunk, n_columns).encode("ascii"))
+        os.set_blocking(done_r, True)
+        while piece := done.read(64):
+            finished += len(piece)
+        status = helper.wait()
+        if status:
+            raise subprocess.CalledProcessError(status, helper.args)
+        if finished != granted:
+            raise RuntimeError(f"the row helper finished {finished} of {granted} chunks")
+        for part in (text, own):
+            part.seek(0)
+            while piece := part.read(_COPY_BYTES):
+                stream.write(piece.decode("ascii"))
 
 
 def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> None:
@@ -216,24 +330,12 @@ def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> 
 
     Cells are ``repr(float)``, exact and never quoted: no such string holds
     a comma, a quote or a newline, so the bytes equal those of ``csv.writer``
-    given the same strings.
+    given the same strings.  The columns go through :func:`column_writer`
+    a chunk at a time, so with every row ready at once the split between
+    the two processes falls to about half.
 
-    The rows are formatted on two CPUs.  This process formats the first
-    half, rounded up to whole chunks of :data:`CHUNK_ROWS`.  One helper
-    interpreter (``python -I -S``, standard library only) runs
-    ``_rows.py`` on the rest.  It reads their float64 values from one
-    temporary file and writes its text to another, which is copied into the
-    stream after this process's rows.  Both use ``_rows.format_rows``, so
-    the bytes do not depend on the split.  No helper starts for
-    :data:`CHUNK_ROWS` rows or fewer.
-
-    Header and column counts are checked before anything is written.  On
-    any later error the helper is killed and reaped, and rows may already
-    be on the stream; a helper that fails raises
-    ``subprocess.CalledProcessError`` with its exit code.
+    Header and column counts are checked before anything is written.
     """
-    from . import _rows  # imported here, as is subprocess, so cli loads no slower
-
     columns = [np.asarray(c, dtype=float) for c in columns]
     if not columns or len(header) != len(columns):
         raise ValueError(
@@ -242,42 +344,9 @@ def write_columns(stream: IO[str], header: Sequence[str], columns: Sequence) -> 
     n_rows = columns[0].size
     if any(c.shape != (n_rows,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
-    half = min(n_rows, -(-n_rows // (2 * CHUNK_ROWS)) * CHUNK_ROWS)
-
-    def write_rows(stop: int) -> None:
-        for start in range(0, stop, CHUNK_ROWS):
-            chunk = [c[start : start + CHUNK_ROWS].tolist() for c in columns]
-            stream.write(_rows.format_rows(chunk))
-
-    stream.write(",".join(header) + "\n")
-    if half == n_rows:
-        write_rows(n_rows)
-        return
-
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryFile() as values, tempfile.TemporaryFile() as text:
-        for start in range(half, n_rows, CHUNK_ROWS):
-            values.write(np.column_stack([c[start : start + CHUNK_ROWS] for c in columns]))
-        values.seek(0)
-        helper = subprocess.Popen(
-            [sys.executable, "-I", "-S", _rows.__file__, str(len(columns)), str(CHUNK_ROWS)],
-            stdin=values,
-            stdout=text,
-        )
-        try:
-            write_rows(half)
-            status = helper.wait()
-        finally:
-            if helper.returncode is None:
-                helper.kill()
-                helper.wait()
-        if status:
-            raise subprocess.CalledProcessError(status, helper.args)
-        text.seek(0)
-        while piece := text.read(_COPY_BYTES):
-            stream.write(piece.decode("ascii"))
+    with column_writer(stream, header, n_rows) as add:
+        for start in range(0, n_rows, CHUNK_ROWS):
+            add([c[start : start + CHUNK_ROWS] for c in columns])
 
 
 def export_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
@@ -397,29 +466,42 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_filter_demo(config: RunConfig) -> int:
-    """Simulate one filter path; write Euler and closed-form posteriors side by side."""
+    """Simulate one filter path; write Euler and closed-form posteriors side by side.
+
+    Each block of :data:`CHUNK_ROWS` rows goes to the CSV writer as soon as
+    the Euler loop has made it, so the rows are formatted while the loop
+    runs.
+    """
+    import os
+
     model = config.model
     # path 0's drift, and so at one path its Y path, as terminal_wealth draws them
     true_index = int(_theta_indices(model, 1, config.seed)[0])
-    path = simulate_filter_sde(model, true_index, config.T, _sim_step(config), config.seed)
-
-    closed = posterior_weights(model, path.times, path.y)
-    discrepancy = float(np.max(np.abs(path.probs - closed)))
-
-    import os
+    step = _sim_step(config)
+    n_rows = _n_steps(config.T, step) + 1
+    header = (
+        ["time", "y"]
+        + [f"euler_p_{k + 1}" for k in range(model.d)]
+        + [f"closed_p_{k + 1}" for k in range(model.d)]
+    )
+    discrepancy = 0.0
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     target = config.out_dir / "filter_demo.csv"
     # written whole beside the target, then renamed: no half-written CSV is left
     partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "w", newline="") as fh:
-            write_columns(
-                fh,
-                ["time", "y"]
-                + [f"euler_p_{k + 1}" for k in range(model.d)]
-                + [f"closed_p_{k + 1}" for k in range(model.d)],
-                [path.times, path.y, *path.probs.T, *closed.T],
+        with open(partial, "w", newline="") as fh, column_writer(fh, header, n_rows) as add:
+
+            def add_block(block: FilterPath) -> None:
+                nonlocal discrepancy
+                closed = posterior_weights(model, block.times, block.y)
+                discrepancy = max(discrepancy, float(np.max(np.abs(block.probs - closed))))
+                add([block.times, block.y, *block.probs.T, *closed.T])
+
+            simulate_filter_sde(
+                model, true_index, config.T, step, config.seed,
+                block_rows=CHUNK_ROWS, on_block=add_block,
             )
         os.replace(partial, target)
     finally:

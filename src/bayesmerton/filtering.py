@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -135,6 +136,9 @@ def simulate_filter_sde(
     horizon: float,
     step: float,
     seed: int,
+    *,
+    block_rows: int = 0,
+    on_block: Callable[[FilterPath], None] | None = None,
 ) -> FilterPath:
     """Euler scheme for the posterior SDE along one simulated observation path.
 
@@ -150,6 +154,11 @@ def simulate_filter_sde(
     The rows come with their ``Y`` path, at which :func:`posterior_weights`
     gives the closed form.
 
+    With ``on_block``, the loop hands out its rows as it finishes them: it
+    calls ``on_block`` with a :class:`FilterPath` of each block of
+    ``block_rows`` consecutive rows (the last block may be shorter), in
+    order, while the later steps are still to run.
+
     Raises
     ------
     StepTooLarge
@@ -158,6 +167,8 @@ def simulate_filter_sde(
     times = _time_grid(horizon, step)
     if not 0 <= true_drift_index < model.d:
         raise IndexError(f"true_drift_index {true_drift_index} out of range")
+    if on_block and block_rows < 1:
+        raise ValueError(f"on_block needs block_rows >= 1, got {block_rows}")
     n_steps = times.size - 1
     step = float(times[1])
     dy = _noise(seed).standard_normal(n_steps) * np.sqrt(step)
@@ -170,26 +181,36 @@ def simulate_filter_sde(
 
     p = model.prior.tolist()
     probs = array("d", p)  # rows of d, flat
-    for i, dyi in enumerate(dy.tolist()):
-        gamma_hat = 0.0
-        for pk, gk in zip(p, gammas):
-            gamma_hat += pk * gk
-        dw_hat = dyi - gamma_hat * step
-        clipped = []
-        total = 0.0
-        for pk, gk in zip(p, gammas):
-            pk = pk + pk * (gk - gamma_hat) * dw_hat
-            if pk < lo or pk > hi:
-                raise StepTooLarge(
-                    f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"
-                )
-            if pk < floor:
-                pk = floor
-            elif pk > 1.0:
-                pk = 1.0
-            clipped.append(pk)
-            total += pk
-        p = [pk / total for pk in clipped]
-        probs.extend(p)
-    probs = np.frombuffer(probs, dtype=float).reshape(n_steps + 1, model.d)
+    dy = dy.tolist()
+    d = model.d
+    block_rows = block_rows if on_block else n_steps + 1
+    for start in range(0, n_steps + 1, block_rows):
+        stop = min(start + block_rows, n_steps + 1)
+        first = max(start - 1, 0)  # step i makes row i + 1
+        for i, dyi in enumerate(dy[first : stop - 1], first):
+            gamma_hat = 0.0
+            for pk, gk in zip(p, gammas):
+                gamma_hat += pk * gk
+            dw_hat = dyi - gamma_hat * step
+            clipped = []
+            total = 0.0
+            for pk, gk in zip(p, gammas):
+                pk = pk + pk * (gk - gamma_hat) * dw_hat
+                if pk < lo or pk > hi:
+                    raise StepTooLarge(
+                        f"posterior left {_EULER_GUARD} at step {i}; reduce step {step}"
+                    )
+                if pk < floor:
+                    pk = floor
+                elif pk > 1.0:
+                    pk = 1.0
+                clipped.append(pk)
+                total += pk
+            p = [pk / total for pk in clipped]
+            probs.extend(p)
+        if on_block:
+            # a copy of the block's rows: an array exporting its buffer cannot grow
+            block = np.frombuffer(probs[start * d :], dtype=float).reshape(-1, d)
+            on_block(FilterPath(times=times[start:stop], probs=block, y=y[start:stop]))
+    probs = np.frombuffer(probs, dtype=float).reshape(n_steps + 1, d)
     return FilterPath(times=times, probs=probs, y=y)

@@ -7,21 +7,25 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bayesmerton.cli as cli
+import bayesmerton.filtering as filtering
 import bayesmerton.simkit as simkit
 import bayesmerton.strategy as strategy
 from bayesmerton import new_market, optimality_check, posterior_weights
 from bayesmerton.asymptotics import horizon_sweep
 from bayesmerton.cli import (
     CHUNK_ROWS,
+    column_writer,
     export_report_json,
     export_sweep_csv,
     main,
@@ -564,19 +568,25 @@ class TestFilterDemo:
         fine = run(2.5e-4)
         assert coarse / fine >= 1.5
 
-    def test_csv_across_the_two_process_split(self, tmp_path, out_dir):
-        # 10001 rows: the helper interpreter writes the rows past 3 * CHUNK_ROWS
+    @pytest.mark.parametrize(
+        "n_rows",
+        [CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS, 3 * CHUNK_ROWS + 1, 10_001],
+        ids=["chunk", "chunk+1", "3chunk", "3chunk+1", "10001"],
+    )
+    def test_csv_across_the_two_process_split(self, tmp_path, out_dir, n_rows):
+        # past CHUNK_ROWS rows the chunks go to the helper interpreter while the loop runs
+        T = (n_rows - 1) * 1e-4
         cfg = write_config(
             tmp_path, out_dir,
-            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            query={"t": 0.0, "T": T, "y": 0.0},
             sim={"step": 1e-4, "n_paths": 10, "seed": 5},
         )
         assert main(["--config", cfg, "filter-demo"]) == 0
         model = new_market(**TOY_MARKET)
         true_index = int(_theta_indices(model, 1, 5)[0])
-        path = simulate_filter_sde(model, true_index, 1.0, 1e-4, 5)
+        path = simulate_filter_sde(model, true_index, T, 1e-4, 5)
         closed = posterior_weights(model, path.times, path.y)
-        assert path.times.size > 3 * CHUNK_ROWS
+        assert path.times.size == n_rows
         header = "time,y,euler_p_1,euler_p_2,euler_p_3,closed_p_1,closed_p_2,closed_p_3".split(",")
         columns = [path.times, path.y, *path.probs.T, *closed.T]
         assert (out_dir / "filter_demo.csv").read_text() == csv_of_reprs(header, columns)
@@ -590,6 +600,32 @@ class TestFilterDemo:
         monkeypatch.setattr(sys, "executable", "/bin/false")
         with pytest.raises(subprocess.CalledProcessError):
             main(["--config", cfg, "filter-demo"])
+        assert list(out_dir.iterdir()) == []  # neither the CSV nor its partial sibling
+        assert_no_child_left()
+
+    def test_step_too_large_past_the_first_chunk_leaves_no_csv_and_no_child(
+        self, tmp_path, out_dir, capsys, monkeypatch
+    ):
+        # one wild increment at step 3000: the guard trips after the helper has started
+        noise = filtering._noise
+
+        def spiked(seed):
+            def standard_normal(n):
+                z = noise(seed).standard_normal(n)
+                z[3000] = 1e6
+                return z
+
+            return SimpleNamespace(standard_normal=standard_normal)
+
+        monkeypatch.setattr(filtering, "_noise", spiked)
+        cfg = write_config(
+            tmp_path, out_dir,
+            query={"t": 0.0, "T": 1.0, "y": 0.0},
+            sim={"step": 1e-4, "n_paths": 10, "seed": 5},
+        )
+        assert main(["--config", cfg, "filter-demo"]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "StepTooLarge" and "at step 3000" in error["message"]
         assert list(out_dir.iterdir()) == []  # neither the CSV nor its partial sibling
         assert_no_child_left()
 
@@ -810,6 +846,22 @@ class TestWriteColumns:
             write_columns(io.StringIO(), ["x"], [np.zeros(2 * CHUNK_ROWS + 1)])
         assert info.value.returncode == 1
         assert "exit status 1" in str(info.value)
+        assert_no_child_left()
+
+    def test_helper_dying_mid_run_raises_with_exit_code(self, tmp_path, monkeypatch):
+        # the helper takes one grant and exits 5; later grants meet a closed pipe
+        helper = tmp_path / "helper"
+        helper.write_text("#!/bin/sh\nhead -c 1 > /dev/null\nexit 5\n")
+        helper.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(helper))
+        chunk = [np.zeros(CHUNK_ROWS)]
+        with pytest.raises(subprocess.CalledProcessError) as info:
+            with column_writer(io.StringIO(), ["x"], 8 * CHUNK_ROWS) as add:
+                add(chunk)
+                time.sleep(0.5)
+                for _ in range(7):
+                    add(chunk)
+        assert info.value.returncode == 5
         assert_no_child_left()
 
     def test_stream_error_kills_helper(self):

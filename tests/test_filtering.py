@@ -151,6 +151,17 @@ class TestFilterSde:
         np.testing.assert_array_equal(a.probs, b.probs)
         np.testing.assert_array_equal(a.y, b.y)
 
+    def test_blocks_are_the_path_in_order(self, toy):
+        blocks = []
+        path = simulate_filter_sde(toy, 1, 1.0, 1e-3, 42, block_rows=300, on_block=blocks.append)
+        assert [b.times.size for b in blocks] == [300, 300, 300, 101]
+        for name in ("times", "probs", "y"):
+            whole = np.concatenate([getattr(b, name) for b in blocks])
+            np.testing.assert_array_equal(whole, getattr(path, name))
+        np.testing.assert_array_equal(path.probs, simulate_filter_sde(toy, 1, 1.0, 1e-3, 42).probs)
+        with pytest.raises(ValueError, match="block_rows"):
+            simulate_filter_sde(toy, 1, 1.0, 1e-3, seed=42, on_block=blocks.append)
+
     def test_observation_path_relation(self, toy):
         """y accumulates the spawn-key-1 increments plus gamma_theta * t drift."""
         path = simulate_filter_sde(toy, 2, 1.0, 1e-2, seed=9)
